@@ -14,7 +14,7 @@ from .coeff import ExtField, ff_extend
 from .errors import ConstantPolynomial, RetryExhausted, SetSystemNotFound
 from .gring import GRElement, GroupRing
 from .groups import FreeGroup, ball
-from .linalg import determinant, kernel_basis, rank
+from .linalg import determinant, kernel_vectors, rank
 from .srcsolve import truncated_kernel
 
 
@@ -385,25 +385,17 @@ def theta_certify(theta: ThetaMap, radius: int) -> ThetaReport:
     m = sys.size
     D = ball(G, radius)
     cols = [(yp, g) for yp in range(m) for g in D]
-    row_pos = {}
-    row_keys = []
-    entries = []
-    for cidx, (yp, g) in enumerate(cols):
+    # image of each basis vector, keyed by (output index, group element);
+    # the b_s are distinct, so no two terms share a key
+    columns = []
+    for yp, g in cols:
+        col = {}
         for s in sys.labels:
             h = G.mul(theta.b[s], g)
-            A = theta.alphas.matrices[s]
-            for y in range(m):
-                c = A[y][yp]
-                if not L.is_zero(c):
-                    key = (y, h)
-                    if key not in row_pos:
-                        row_pos[key] = len(row_keys)
-                        row_keys.append(key)
-                    entries.append((row_pos[key], cidx, c))
-    matrix = [[L.zero] * len(cols) for _ in row_keys]
-    for r, cidx, c in entries:
-        matrix[r][cidx] = L.add(matrix[r][cidx], c)
-    basis = kernel_basis(matrix, L, ncols=len(cols))
+            for y, row in enumerate(theta.alphas.matrices[s]):
+                col[(y, h)] = row[yp]
+        columns.append(col)
+    basis = list(kernel_vectors(columns, L))
     y0 = sys.missing_point()
     missing_zero = all(
         all(L.is_zero(v) for v in fam_rows[y0 - 1])

@@ -140,8 +140,8 @@ class Rationals:
 
     def from_json(self, obj):
         if isinstance(obj, str):
-            num, den = obj.split("/")
-            return Fraction(int(num), int(den))
+            num, _, den = obj.partition("/")
+            return Fraction(int(num), int(den or 1))
         return Fraction(obj)
 
     def __eq__(self, other):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import FolnerNotFound, InfiniteIndex, MixedGroups
 
@@ -301,7 +302,11 @@ class FiniteSubset:
         return len(self.elements)
 
     def __contains__(self, g):
-        return g in set(self.elements)
+        return g in self._members
+
+    @cached_property
+    def _members(self) -> frozenset:
+        return frozenset(self.elements)
 
     def __iter__(self):
         return iter(self.elements)
@@ -435,6 +440,7 @@ class AbelianCosets:
         # not canonical yet: reduce each (upper rows can shift later coords)
         self.representatives = sorted({self.reduce(v) for v in self.representatives})
         assert len(self.representatives) == self.num_cosets
+        self._index = {rep: i for i, rep in enumerate(self.representatives)}
 
     def reduce(self, v):
         v = list(v)
@@ -446,7 +452,7 @@ class AbelianCosets:
         return tuple(v)
 
     def index(self, g) -> int:
-        return self.representatives.index(self.reduce(g))
+        return self._index[self.reduce(g)]
 
     def contains(self, g) -> bool:
         return self.reduce(g) == self.group.identity

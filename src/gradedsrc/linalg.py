@@ -1,12 +1,16 @@
-"""Exact dense linear algebra over the coefficient rings.
+"""Exact linear algebra over the coefficient rings.
 
-Matrices are lists of row lists.  Field computations use plain Gaussian
-elimination through the ring descriptor protocol; integer kernels go through
-the rational kernel with denominators cleared to primitive vectors.
+Kernels go through one sparse engine, ``kernel_vectors``, which takes one
+``{row: entry}`` dict per column; ``kernel_basis`` is its dense front end.
+``rref``, ``rank`` and ``determinant`` work on small dense matrices, lists of
+row lists.  Everything runs through the ring descriptor protocol; integer
+kernels go through the rational kernel with denominators cleared to
+primitive vectors.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -66,28 +70,83 @@ def determinant(matrix, ring):
     return det
 
 
-def kernel_basis(matrix, ring, ncols=None):
-    """Exact basis of the right null space; empty list iff the map is injective.
+def kernel_vectors(columns, ring):
+    """Kernel vectors of a sparse matrix, yielded lazily in free-column order.
 
-    Over Z the rational kernel is computed and each basis vector cleared to a
+    ``columns`` holds one ``{row: entry}`` dict per column; row keys may be
+    any hashable values.  Columns are reduced one at a time against the
+    pivot columns before them.  A column that reduces to zero is free, and
+    its kernel vector is rebuilt by back-substitution through the
+    multipliers that reduced it.  That vector has entry one at its free
+    column and is supported on that column and the pivot columns before it,
+    so it is the unique such kernel vector: the one reduced row echelon form
+    gives.  Vectors are dense lists of length ``len(columns)``.
+
+    Over Z the columns are reduced over Q and each vector is cleared to a
     primitive integer vector with positive leading entry.
     """
     if isinstance(ring, Integers):
-        rational = [[Fraction(a) for a in row] for row in matrix]
-        return [clear_denominators(v) for v in kernel_basis(rational, QQ, ncols)]
-    nc = ncols if ncols is not None else (len(matrix[0]) if matrix else 0)
-    rows, pivots = rref(matrix, ring, nc)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(nc):
-        if free in pivot_set:
+        rational = [{r: Fraction(a) for r, a in col.items()} for col in columns]
+        for v in kernel_vectors(rational, QQ):
+            yield clear_denominators(v)
+        return
+    zero, one = ring.zero, ring.one
+    is_zero, sub, mul = ring.is_zero, ring.sub, ring.mul
+
+    def axpy(acc, f, vec):
+        # acc -= f * vec, dropping entries that cancel
+        for k, b in vec.items():
+            s = sub(acc.get(k, zero), mul(f, b))
+            if is_zero(s):
+                acc.pop(k, None)
+            else:
+                acc[k] = s
+
+    columns = [{r: a for r, a in col.items() if not is_zero(a)} for col in columns]
+    # how many columns not yet reduced have an entry in each row
+    later = Counter(r for col in columns for r in col)
+    # per pivot, in input order: (pivot row, reduced column with entry one
+    # there and zero at every earlier pivot row, input column, inverse of the
+    # normalising entry, {earlier pivot: multiplier} that reduced it)
+    pivots = []
+    for c, col in enumerate(columns):
+        for r in col:
+            later[r] -= 1
+        vec = dict(col)
+        mults = {}
+        for k, (prow, pcol, _, _, _) in enumerate(pivots):
+            f = vec.get(prow)
+            if f is not None:
+                mults[k] = f
+                axpy(vec, f, pcol)
+        if vec:
+            # a pivot row few later columns touch keeps later reductions short
+            prow = min(vec, key=later.__getitem__)
+            inv = ring.inv(vec[prow])
+            pcol = {r: mul(inv, a) for r, a in vec.items()}
+            pivots.append((prow, pcol, c, inv, mults))
             continue
-        v = [ring.zero] * nc
-        v[free] = ring.one
-        for i, c in enumerate(pivots):
-            v[c] = ring.neg(rows[i][free])
-        basis.append(v)
-    return basis
+        # column c = sum_k mults[k] * pcol_k; expand each pcol_k, last first
+        v = [zero] * len(columns)
+        v[c] = one
+        coef = {k: ring.neg(f) for k, f in mults.items()}  # of pcol_k in v
+        for k in range(len(pivots) - 1, -1, -1):
+            t = coef.pop(k, None)
+            if t is None:
+                continue
+            _, _, ck, inv, kmults = pivots[k]
+            t = mul(t, inv)
+            v[ck] = t
+            axpy(coef, t, kmults)
+        yield v
+
+
+def kernel_basis(matrix, ring, ncols=None):
+    """Exact basis of the right null space of a dense matrix; empty list iff
+    the map is injective.  Over Z the vectors are primitive integer vectors."""
+    nc = ncols if ncols is not None else (len(matrix[0]) if matrix else 0)
+    columns = [{i: row[c] for i, row in enumerate(matrix)} for c in range(nc)]
+    return list(kernel_vectors(columns, ring))
 
 
 def clear_denominators(vec):

@@ -23,7 +23,8 @@ from .groups import (
     folner_search,
     product_set,
 )
-from .linalg import kernel_basis
+# kernel_basis stays importable from this module: perfbench's self-tests reach it here
+from .linalg import kernel_basis, kernel_vectors  # noqa: F401
 
 
 @dataclass
@@ -55,15 +56,27 @@ class LinearSystem:
 
 @dataclass
 class LiftedSystem:
-    """The base-ring system indexed by SF x {1..m} rows and {1..n} x F columns."""
+    """The base-ring system indexed by SF x {1..m} rows and {1..n} x F columns.
 
-    matrix: list
+    ``columns`` holds one ``{row position: nonzero entry}`` dict per column,
+    positions into ``row_index``."""
+
+    columns: list
     row_index: list  # (g, i) pairs, g-major
     col_index: list  # (j, f) pairs, f-major
     S: FiniteSubset
     F: FiniteSubset
     base_ring: object
     provenance: dict = field(default_factory=dict)
+
+    @property
+    def matrix(self) -> list:
+        """The dense matrix, rows by columns."""
+        rows = [[self.base_ring.zero] * len(self.columns) for _ in self.row_index]
+        for c, col in enumerate(self.columns):
+            for r, a in col.items():
+                rows[r][c] = a
+        return rows
 
 
 @dataclass
@@ -73,27 +86,31 @@ class SolutionVector:
 
 
 def lift_system(sys: LinearSystem, F: FiniteSubset) -> LiftedSystem:
-    """Entry at row (g, i), column (j, f) is the coefficient of g f^-1 in a_ij."""
+    """Entry at row (g, i), column (j, f) is the coefficient of g f^-1 in a_ij,
+    so column (j, f) holds each term c*h of a_ij at row (h f, i)."""
     S = sys.union_support()
     if not len(S):
         raise EmptySupport("all coefficients are zero")
     G = sys.ring.group
     SF = product_set(S, F)
     row_index = [(g, i) for g in SF for i in range(sys.m)]
+    row_pos = {key: r for r, key in enumerate(row_index)}
     col_index = [(j, f) for f in F for j in range(sys.n)]
-    matrix = []
-    for g, i in row_index:
-        row = []
-        for j, f in col_index:
-            row.append(sys.a[i][j].component(G.mul(g, G.inv(f))))
-        matrix.append(row)
+    columns = [
+        {
+            row_pos[(G.mul(h, f), i)]: c
+            for i in range(sys.m)
+            for h, c in sys.a[i][j].terms.items()
+        }
+        for j, f in col_index
+    ]
     provenance = {
         "row_order": "group elements of SF in canonical order, then equation index",
         "col_order": "elements of F in canonical order, then unknown index",
         "S": [G.elem_to_json(g) for g in S],
         "F": [G.elem_to_json(f) for f in F],
     }
-    return LiftedSystem(matrix, row_index, col_index, S, F, sys.ring.coeff, provenance)
+    return LiftedSystem(columns, row_index, col_index, S, F, sys.ring.coeff, provenance)
 
 
 def assemble_solution(sys: LinearSystem, kv, F: FiniteSubset) -> SolutionVector:
@@ -138,10 +155,10 @@ def solve_src(sys: LinearSystem, budget: int = 64) -> SolutionVector:
     F = folner_search(G, S, ratio, budget)
     lifted = lift_system(sys, F)
     assert sys.m * len(product_set(S, F)) < sys.n * len(F)
-    basis = kernel_basis(lifted.matrix, lifted.base_ring, ncols=len(lifted.col_index))
-    if not basis:
+    kv = next(kernel_vectors(lifted.columns, lifted.base_ring), None)
+    if kv is None:
         raise UnexpectedEmptyKernel("rank bound violated; logic fault")
-    sol = assemble_solution(sys, basis[0], F)
+    sol = assemble_solution(sys, kv, F)
     if not verify_solution(sys, sol.xs):
         raise AssertionError("assembled solution failed exact substitution")
     return SolutionVector(sol.xs, verified=True)
@@ -165,27 +182,12 @@ def truncated_kernel(a, radius: int) -> TruncatedKernelReport:
     G = ring.group
     D = ball(G, radius)
     cols = [(j, f) for j in range(n) for f in D]
-    # images of basis vectors, equation by equation
-    images = []
-    row_keys = []
-    seen = set()
-    for j, f in cols:
-        img = [a[i][j] * ring.delta(f) for i in range(m)]
-        images.append(img)
-        for i in range(m):
-            for g in img[i].terms:
-                if (i, g) not in seen:
-                    seen.add((i, g))
-                    row_keys.append((i, g))
-    row_keys.sort(key=lambda ig: (ig[0], G.sort_key(ig[1])))
-    row_pos = {k: idx for idx, k in enumerate(row_keys)}
-    R = ring.coeff
-    matrix = [[R.zero] * len(cols) for _ in row_keys]
-    for cidx, img in enumerate(images):
-        for i in range(m):
-            for g, c in img[i].terms.items():
-                matrix[row_pos[(i, g)]][cidx] = c
-    basis = kernel_basis(matrix, R, ncols=len(cols))
+    # image of each basis vector, keyed by (equation, group element)
+    columns = [
+        {(i, g): c for i in range(m) for g, c in (a[i][j] * ring.delta(f)).terms.items()}
+        for j, f in cols
+    ]
+    basis = list(kernel_vectors(columns, ring.coeff))
     out = []
     for v in basis:
         xs = []
@@ -222,22 +224,16 @@ def intconst_truncated_kernel(poly_ring, a, max_degree: int, radius: int):
         for d in range(1, max_degree + 1):
             for g in D:
                 cols.append((j, d, g))
-    row_keys = []
-    row_pos = {}
-    entries = []  # (row, col, coeff)
-    for cidx, (j, d, g) in enumerate(cols):
-        for i in range(m):
-            prod = a[i][j] * base.delta(g)
-            for h, c in prod.terms.items():
-                key = (i, d + 1, h)
-                if key not in row_pos:
-                    row_pos[key] = len(row_keys)
-                    row_keys.append(key)
-                entries.append((row_pos[key], cidx, c))
-    matrix = [[0] * len(cols) for _ in row_keys]
-    for r, c, v in entries:
-        matrix[r][c] = v
-    basis = kernel_basis(matrix, Integers(), ncols=len(cols))
+    # image of each basis vector, keyed by (equation, degree, group element)
+    columns = [
+        {
+            (i, d + 1, h): c
+            for i in range(m)
+            for h, c in (a[i][j] * base.delta(g)).terms.items()
+        }
+        for j, d, g in cols
+    ]
+    basis = list(kernel_vectors(columns, Integers()))
     out = []
     for v in basis:
         polys = []

@@ -71,6 +71,23 @@ def test_solve_success(tmp_path):
     assert verify_solution(sys, xs)
 
 
+def test_solve_readme_example(tmp_path):
+    # the README's solve input, comments removed: integer coefficient strings
+    infile = write(
+        tmp_path,
+        "readme.json",
+        {
+            "group": {"family": "abelian", "rank": 1},
+            "coeff": {"ring": "Q"},
+            "m": 1, "n": 2,
+            "a": [[[[[0], "1"], [[1], "1"]], [[[0], "1"], [[1], "-1"]]]],
+        },
+    )
+    out = str(tmp_path / "sol.json")
+    assert main(["solve", "--in", infile, "--out", out]) == 0
+    assert json.loads(open(out).read())["verified"] is True
+
+
 def test_solve_budget_exhaustion(tmp_path, capsys):
     infile = write(tmp_path, "fn.json", footnote_json())
     assert main(["solve", "--in", infile, "--budget", "3"]) == 2

@@ -1,0 +1,128 @@
+"""Golden outputs: sha256 digests of sorted-key JSON, pinned byte for byte.
+
+The digests were recorded with the dense elimination that preceded the
+sparse kernel engine; any change to which kernel vector a pipeline returns,
+or to how it is serialized, shows up here.  Do not re-record them to make a
+kernel change pass: a differing digest means the outputs are no longer
+byte-identical.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from gradedsrc.cli import main
+from test_acceptance import _run_criterion_1, _run_criterion_7
+
+# criterion 1's 70 solutions, in the order the criterion solves them
+CRITERION_1 = [
+    "c0ddf3a404ab3370887da7f3cd89470c8a51435958eb5dde52e6364751c7a040",
+    "9987bdba584384c9ac130bc446e3eb5075e60a74d74eaa609387d4fdb9e2d68e",
+    "78a5c8c2ed57f59aaa3eff91974241d05e9fa95ee18b4305d1c0e056be65056b",
+    "45d47d64ede74d951757935a4774771ea069c8953033cf62f24886313ff237be",
+    "3ea481ae5043ae715db92f82a3dc68075ac9a33be48083cd2cba6c8ade2c7f88",
+    "11c38a8d7a7d8343839ffd3c6070f9ea3db1a7de5ccb7021d4ef0a4394b05b6b",
+    "628667a6b39d95e36b5a53a1d43ec5e13d07aefc7051c8ca6ad60c20f810909b",
+    "a61561feed146985feaf94289a987643e7387a58b3516cdf6c6ddeabce480ca7",
+    "cb9bf7b3dcea5e7ab79d80d2e7f21e1695c07a1d537ff67e364a0144f488c9c1",
+    "97eb8419f6e3822e255d02b285dd71afcb5c795652f97a3261ed14fced543d26",
+    "b2691befc0e681d3edbced21639df040adcb527d7f79dca6aacd6bcc6c09a6ce",
+    "924b4798f105b87962782e0e9d5e6f72afd59dd3ec40f2e3bb32a5ff647fde9d",
+    "4f16495abb9c6d785739554f1742fda69d8d9c4dc48f0a6f4d8befc419be41ff",
+    "38a2944e361ab66c0a75c02a9214308182786385c9dd9af0ad5ff5f3f90f22ee",
+    "7de17db238d8a541f6959e2067e483161e2310ebb2f4e085bf375819d5f3729e",
+    "a6443906a6cc41eab8522fe19d1a003e8356980924a53fac286ed47daa1eaf47",
+    "a6ec1c800da0fa90c251ab80e84b2443d06e2117769311037706d813bb5b7bbf",
+    "6c3bd4674f12974265f65f1f76862c85886b1cfab1f39de554e1f04b5511200f",
+    "a63dd36461e087479f71dffacd5c9aa18a863dd9101eb1c156775dc93924bf8c",
+    "450d3bb6496dc5edcbb373ada95e62124a7204a189b5e2e8807ffd9e79426058",
+    "ee13996b63827a11b1bf53b335de483d1b0923d192b9ecef3203f657e87ed77a",
+    "7084e51505c8f7ac28a2aaec19e29ef429e19b4e21c93fce280147adb8bbe87f",
+    "892e708afe3b98c0c044f564bcc4279b56eb739eeb9e2900eb6978604978a151",
+    "360be5920db3fb5dd7c9d1b5765f9b5b520800e7803cd1a9753b962e6de579a3",
+    "257ecf1fcbe241e65466b493ab329c1fa2a1376da37c7b74c523c3e8bc407e58",
+    "86725c57f963183190cc4ed494fc62006020f7f8a6071d65b0395cb10e9a2f74",
+    "f8d5e952a4e80fce184b32bbbecaf1539ea9495027cf86fdeb24d50ba00d7d99",
+    "af4ca9eab73d781a4cb992e334952b4dc8a4b39118f9c4690a39abdac2196179",
+    "c7ea651dc8399ededa0bb80abb8516476701e20a5a56e1edead1cdace327c421",
+    "20ba5c875cba38406e620e8da005f0acedf122126cf66be91d61e1ae90222ef2",
+    "9488b5f5899b58a9fd08b2713b7784848475100df4ed2f5ac2bb70219aca1b7e",
+    "20cb2092bd312d3ed4f88f00af489c30c352f69134bab5983b6026e056c3d5cf",
+    "45606dd6909de2cea7c636af1d05d943e915469b1ea807ff1c919bbc056a4761",
+    "8d22006328863f07c769ad29820b48c728b640563942832e14d2ee4e8cdb415a",
+    "85331418c447e94512b56e63d73c32781e087034c0aa39e2482eff3f56be28d1",
+    "023443bcbb8779af05b9a154d98548f39ca4d062cad87018eabd6acb09f9ed5d",
+    "80306375d7e3721884b1bcd5525c3a884aac61e0936a335654b57303d7de5aa8",
+    "22350b49c3db0ad54e224bb05c40099fff6c434a0cb81314240b3700a8d0ca94",
+    "fda62da35c8b0550fd8accfd09e4d95792fa2295cdf1379f838a30507af30a8b",
+    "8b14f898e1e177927d328aad42bd959deeb6f3791b549d4807b4371841882643",
+    "db0b422e546a0a15de985dc8f4ccf2be1260238998dd539647795ac18b70db11",
+    "094676523799dd8f6b8488fa41cf57636c5da0b54f1b8cce9db775b689261b57",
+    "b12aee09c4a3c42216529caf330382880cfa75d6b5cdd0c7c06b7da992285761",
+    "926c5f153a831287ca809ea426b6d6f6d8f2d1c7a439c1e42b5b63c0f50be4f7",
+    "c8e540e2ce057b6366591c603613a9302e101d06deae34538d5491827243d0ae",
+    "dc0679f8e24cc63bbd6a4318c4462345baf75a5d21c904b8fde9725ab05cb1b2",
+    "a537eef40110df36c6e8fa74b31eac5af5696920afe456c0fee93fb73cb21a3b",
+    "308f82343ffe6a4a1a12bc2f16306fdb1a93e7cc18839bd1497869c580c9707e",
+    "beb021bab0b2e1a368f12c270f73aa5024a478726b494a3351dd2e818e26d9e8",
+    "bd2359da3899542e6f3b7a12cd29696da5ca11b26aab05497ab3ab0324ec8be0",
+    "c8c3fabf9b691f72e329ce3ae85ba98872efe2c1e3b4fad6c8d9048ee5498a08",
+    "b46d25551a62166819d274dd7c46452659730b0a98973fa51bfa0a6ce0fe2ce5",
+    "39ae8f2546769a247d894e7cd6d84aa493774e1a325871b2e34e8478fbe3c313",
+    "75e01e21d13ab6cf1b5e4b34d60c78a34a9c037759e1519885e71bb5e9420529",
+    "16b1bd43b3e6c3e51625e14ae46ee1ce91f688b98ef0f2501dcdfa74a88797f8",
+    "e776aaffe6609634a509419fd4bd8bd9aca6f35be6a8cec5350ae9e6a3557567",
+    "77dcd29cab38f52f8c64e55fa4f52ad0538e2760263cf13c0b02304330d67b98",
+    "01ee93d55df9522e920336fb5921b6a2745901858c661d8e3f64a28fba17a5d1",
+    "bcce7aa7ae4ed4806dca47873a95bd3f36d54133c94f6e3187af96edcf7f47fc",
+    "f394480762fb77a80bad7766bb686c8338fd61b44c61650f0a16e7d810d9867e",
+    "f6d7031c33b202736263dc73daf4f4db8a281f833d0a0fd3194500b667f9178b",
+    "f9cb42719a8e76e437081a2bb7d9851e15d90f69c5aaefd7cb7dc47437b10605",
+    "f7d687789d801a9697a632028f8622ac3e50042e4ec022531f8d03c4b5b0f212",
+    "07d07fcafddb7a2d7368cf340593ff78a2ac717653aaee5a9694402a41dadd20",
+    "2cfd70202372751db1c6c20fba16ce77c37e8e4eb084901e0ecf0ad73a66c2f9",
+    "929bf1f7583858c5b70ec6948f5894a92fb07e0fcba663f6f3004f485979c1e9",
+    "cf5ef9b5b67f76413c74cc10c082dab0f33e31ffd8f7a83bf6136ee6eb1fa223",
+    "385a5f256816534b0291a0b778e7fc4963be322ce7191dc01ff7f8046785d3ca",
+    "370baac52647c853f8163701f3734ec2bdf7a96084fc56d3d5e396ae9d8b3a2d",
+    "7349d965f5eef12a101f8893165a66f62a2a688c34cc3bbe3cf30721d25cfe45",
+]
+
+CRITERION_6_ALPHAS = "4fc684fdd178ccaa4751c7c53cbe151d2d0ee1380b9e29698b57b8bd6f1245fe"
+CRITERION_7_THETA = "cb74708aac449ece4feca55efb5df628584f8f123f7ff2549da339885a00715c"
+
+CLI = {
+    "embed-cert --coeff Q --radius 3": (
+        "41960ab467a24c86491396acf5ab3bf29b073ce2486247e7725826efcf9a1658"
+    ),
+    "embed-cert --coeff Z --radius 3": (
+        "db5746bfe2a35f60e909e2aa40508115444cd0e61d0235faf5d5d265f068b981"
+    ),
+    "theta --radius 3 --seed 0": (
+        "229fa6be893271b11a25b2a11067098efee4a601c30bc1c3152625cf0f93b87b"
+    ),
+}
+
+
+def digest(obj) -> str:
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+def test_criterion_1_solutions():
+    _, payload = _run_criterion_1()
+    assert [digest(sol) for sol in json.loads(payload)] == CRITERION_1
+
+
+def test_criterion_6_and_7_outputs():
+    theta, _, payload = _run_criterion_7()
+    assert digest(theta.alphas.to_json()) == CRITERION_6_ALPHAS
+    assert digest(json.loads(payload)) == CRITERION_7_THETA
+
+
+@pytest.mark.parametrize("argv", sorted(CLI))
+def test_cli_outputs(tmp_path, argv):
+    out = str(tmp_path / "out.json")
+    assert main(argv.split() + ["--out", out]) == 0
+    with open(out) as fh:
+        assert digest(json.load(fh)) == CLI[argv]

@@ -135,6 +135,16 @@ def test_cosets_z2_mod_2x2():
     assert c.index((3, 5)) == c.index((1, 1))
 
 
+def test_cached_lookups_agree_with_scans():
+    B = box(Z2, 3)
+    probe = list(box(Z2, 5))
+    assert [g in B for g in probe] == [g in set(B.elements) for g in probe]
+    c = cosets(Z2, [(2, 1), (0, 3)])
+    assert [c.index(g) for g in probe] == [
+        c.representatives.index(c.reduce(g)) for g in probe
+    ]
+
+
 def test_cosets_infinite_index():
     with pytest.raises(InfiniteIndex):
         cosets(Z2, [(2, 0)])

@@ -4,8 +4,15 @@ from math import gcd
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gradedsrc.coeff import QQ, ZZ, ff_extend
-from gradedsrc.linalg import clear_denominators, determinant, kernel_basis, rank
+from gradedsrc.coeff import QQ, ZZ, PrimeField, ff_extend
+from gradedsrc.linalg import (
+    clear_denominators,
+    determinant,
+    kernel_basis,
+    kernel_vectors,
+    rank,
+    rref,
+)
 
 
 def frac(m):
@@ -67,3 +74,52 @@ def test_integer_kernel_annihilates(m):
     for v in kernel_basis(m, ZZ):
         for row in m:
             assert sum(a * x for a, x in zip(row, v)) == 0
+
+
+F8 = ff_extend(2, 3)
+ENGINE_RINGS = {
+    "Q": (QQ, Fraction),
+    "Z": (ZZ, int),
+    "F5": (PrimeField(5), lambda n: n % 5),
+    "F8": (F8, lambda n: F8.from_index(n % 8)),
+}
+
+
+@st.composite
+def ring_matrices(draw):
+    ring, elem = ENGINE_RINGS[draw(st.sampled_from(sorted(ENGINE_RINGS)))]
+    nrows = draw(st.integers(1, 5))
+    ncols = draw(st.integers(1, 6))
+    entry = st.one_of(st.just(0), st.just(0), st.integers(-3, 7))
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+    return ring, [[elem(a) for a in row] for row in rows], ncols
+
+
+@given(ring_matrices())
+def test_kernel_vectors_match_rref(case):
+    ring, matrix, ncols = case
+    columns = [{i: row[c] for i, row in enumerate(matrix)} for c in range(ncols)]
+    vectors = list(kernel_vectors(columns, ring))
+    for v in vectors:
+        for row in matrix:
+            acc = ring.zero
+            for a, x in zip(row, v):
+                acc = ring.add(acc, ring.mul(a, x))
+            assert ring.is_zero(acc)
+    # reference vectors from the reduced row echelon form over the fraction field
+    field = QQ if ring == ZZ else ring
+    fmatrix = [[Fraction(a) for a in row] for row in matrix] if ring == ZZ else matrix
+    rows, pivots = rref(fmatrix, field, ncols)
+    assert len(vectors) == ncols - rank(fmatrix, field, ncols)
+    free_columns = [c for c in range(ncols) if c not in pivots]
+    expected = []
+    for free, v in zip(free_columns, vectors):
+        assert v[free] == ring.one or (ring == ZZ and v[free] != 0)
+        assert all(ring.is_zero(x) for x in v[free + 1 :])
+        w = [field.zero] * ncols
+        w[free] = field.one
+        for i, c in enumerate(pivots):
+            w[c] = field.neg(rows[i][free])
+        expected.append(clear_denominators(w) if ring == ZZ else w)
+    assert vectors == expected
