@@ -11,6 +11,7 @@ lexicographic on integer vectors, list position for finite groups.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -18,6 +19,24 @@ from functools import cached_property
 from .errors import FolnerNotFound, InfiniteIndex, MixedGroups
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
+
+
+def _bfs(mul, start, gens, radius=math.inf):
+    """Set of elements reached from `start` by at most `radius` right
+    multiplications by elements of `gens`."""
+    seen = set(start)
+    frontier = list(seen)
+    while frontier and radius > 0:
+        radius -= 1
+        new = []
+        for w in frontier:
+            for s in gens:
+                v = mul(w, s)
+                if v not in seen:
+                    seen.add(v)
+                    new.append(v)
+        frontier = new
+    return seen
 
 
 class FreeGroup:
@@ -58,18 +77,7 @@ class FreeGroup:
         return (len(g), tuple(self._letter_key(x) for x in g))
 
     def ball_elements(self, r: int):
-        frontier = [()]
-        seen = {()}
-        for _ in range(r):
-            new = []
-            for w in frontier:
-                for s in self.gen_set():
-                    v = self.mul(w, s)
-                    if v not in seen:
-                        seen.add(v)
-                        new.append(v)
-            frontier = new
-        return seen
+        return _bfs(self.mul, [self.identity], self.gen_set(), r)
 
     def elem_to_json(self, g):
         return " ".join(
@@ -156,7 +164,7 @@ class FreeAbelian:
 
 class FiniteGroup:
     """Explicit finite group.  The multiplication table is checked once on
-    construction (identity, inverses, closure, associativity)."""
+    construction (closure, identity, inverses, associativity by Light's test)."""
 
     family = "finite"
 
@@ -195,20 +203,29 @@ class FiniteGroup:
                     break
             else:
                 raise ValueError(f"no inverse for {g}")
-        for a in els:
-            for b in els:
-                ab = self.table[(a, b)]
-                for c in els:
-                    if self.table[(ab, c)] != self.table[(a, self.table[(b, c)])]:
-                        raise ValueError("multiplication table is not associative")
+        # Light's test: the g with (ag)c = a(gc) for all a, c contain the
+        # identity and are closed under the table's product (no associativity
+        # needed to show it), so checking g over a generating set suffices.
+        # Each element not yet reached becomes a generator: in a group each
+        # one at least doubles the reached subgroup, so |gens| <= log2 |G|.
+        gens, reached = [], {ident}
+        for g in els:
+            if g not in reached:
+                gens.append(g)
+                reached = _bfs(self.mul, reached, gens)
+        t = self.table
+        for s in gens:
+            sc = [t[(s, c)] for c in els]
+            for a in els:
+                a_s = t[(a, s)]
+                if [t[(a_s, c)] for c in els] != [t[(a, x)] for x in sc]:
+                    raise ValueError("multiplication table is not associative")
 
     @classmethod
     def symmetric(cls, n: int) -> "FiniteGroup":
         """S_n acting on {0..n-1}; composition applies the right factor first."""
         els = sorted(itertools.permutations(range(n)))
-        table = {
-            (s, t): tuple(s[t[i]] for i in range(n)) for s in els for t in els
-        }
+        table = {(s, t): tuple(map(s.__getitem__, t)) for s in els for t in els}
         gens = []
         if n >= 2:
             gens.append(tuple([1, 0] + list(range(2, n))))
@@ -242,18 +259,7 @@ class FiniteGroup:
         return self._index[g]
 
     def ball_elements(self, r: int):
-        frontier = [self.identity]
-        seen = {self.identity}
-        for _ in range(r):
-            new = []
-            for w in frontier:
-                for s in self.gen_set():
-                    v = self.mul(w, s)
-                    if v not in seen:
-                        seen.add(v)
-                        new.append(v)
-            frontier = new
-        return seen
+        return _bfs(self.mul, [self.identity], self.gen_set(), r)
 
     def elem_to_json(self, g):
         if self.kind == "perm":
@@ -270,7 +276,7 @@ class FiniteGroup:
         return g
 
     def __eq__(self, other):
-        return (
+        return other is self or (
             type(other) is FiniteGroup
             and other.elements == self.elements
             and other.table == self.table
@@ -310,14 +316,6 @@ class FiniteSubset:
 
     def __iter__(self):
         return iter(self.elements)
-
-
-def group_mul(G, g, h):
-    return G.mul(g, h)
-
-
-def group_inv(G, g):
-    return G.inv(g)
 
 
 def ball(G, r: int) -> FiniteSubset:
@@ -463,16 +461,8 @@ class FiniteCosets:
 
     def __init__(self, G: FiniteGroup, generators):
         self.group = G
-        sub = {G.identity}
-        frontier = [G.identity]
         gens = list(generators) + [G.inv(g) for g in generators]
-        while frontier:
-            w = frontier.pop()
-            for s in gens:
-                v = G.mul(w, s)
-                if v not in sub:
-                    sub.add(v)
-                    frontier.append(v)
+        sub = _bfs(G.mul, [G.identity], gens)
         self.subgroup = FiniteSubset.of(G, sub)
         self.cosets = []
         self._coset_of = {}

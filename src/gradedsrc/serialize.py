@@ -22,12 +22,11 @@ def group_to_json(G) -> dict:
     if isinstance(G, FiniteGroup):
         if G.kind == "perm":
             return {"family": "symmetric", "n": len(G.elements[0])}
+        pos = G.sort_key  # an element's position in G.elements
         return {
             "family": "finite",
             "elements": list(G.elements),
-            "table": [
-                [G.elements.index(G.table[(g, h)]) for h in G.elements] for g in G.elements
-            ],
+            "table": [[pos(G.mul(g, h)) for h in G.elements] for g in G.elements],
         }
     raise TypeError(f"unsupported group {G!r}")
 

@@ -46,6 +46,19 @@ def test_group_roundtrip():
         assert G2 == G or set(G2.elements) == set(G.elements)
 
 
+def test_finite_group_roundtrip():
+    # Z/2 x Z/3 with list elements, listed out of any numeric order
+    els = [[1, 2], [0, 0], [1, 0], [0, 1], [1, 1], [0, 2]]
+    table = [
+        [els.index([(a[0] + b[0]) % 2, (a[1] + b[1]) % 3]) for b in els] for a in els
+    ]
+    obj = {"family": "finite", "elements": els, "table": table}
+    G = group_from_json(obj)
+    assert G.identity == (0, 0) and G.mul((1, 2), (1, 1)) == (0, 0)
+    assert json.loads(json.dumps(group_to_json(G))) == obj
+    assert group_from_json(group_to_json(G)) == G
+
+
 def test_coeff_roundtrip():
     for R in (QQ, ZZ, PrimeField(7), ff_extend(2, 3)):
         assert coeff_from_json(coeff_to_json(R)) == R

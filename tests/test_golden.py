@@ -105,6 +105,68 @@ CLI = {
 }
 
 
+# the default-seed system of the benchmark's solve-s5 workload
+SOLVE_S5 = {
+    "group": {"family": "symmetric", "n": 5},
+    "coeff": {"ring": "Q"},
+    "m": 1,
+    "n": 3,
+    "a": [[
+        [[[4, 2, 3, 5, 1], "1/1"], [[5, 1, 2, 4, 3], "-1/1"]],
+        [],
+        [[[4, 2, 1, 5, 3], "2/1"]],
+    ]],
+}
+
+SOLVE_S4 = {
+    "group": {"family": "symmetric", "n": 4},
+    "coeff": {"ring": "Q"},
+    "m": 2,
+    "n": 3,
+    "a": [
+        [
+            [[[1, 2, 3, 4], "-1/1"], [[2, 1, 3, 4], "1/1"]],
+            [[[2, 3, 4, 1], "3/1"]],
+            [[[4, 3, 2, 1], "1/2"], [[1, 3, 2, 4], "2/1"]],
+        ],
+        [
+            [[[3, 1, 2, 4], "1/1"]],
+            [],
+            [[[1, 2, 4, 3], "-2/1"], [[2, 1, 4, 3], "1/1"]],
+        ],
+    ],
+}
+
+# D_3 as an explicit table: r^i is "r"*i, s r^i is "s" + "r"*i, and
+# (s^a r^i)(s^b r^j) = s^(a+b) r^((-1)^b i + j)
+D3_LABELS = ["", "r", "rr", "s", "sr", "srr"]
+D3_TABLE = [
+    [3 * ((a + b) % 2) + ((i if b == 0 else -i) + j) % 3 for b in (0, 1) for j in range(3)]
+    for a in (0, 1)
+    for i in range(3)
+]
+FOLNER_D3 = {
+    "group": {"family": "finite", "elements": D3_LABELS, "table": D3_TABLE},
+    "s": ["", "r", "s"],
+    "ratio": "3/2",
+}
+
+INPUT_FILES = {"solve": {"s5": SOLVE_S5, "s4": SOLVE_S4}, "folner": {"d3": FOLNER_D3}}
+
+# recorded with the triple-loop associativity check that preceded Light's test
+FINITE_GROUPS = {
+    "solve --budget 1 s5": (
+        "3ab1bc5b21d1ab89d21a4faeeb2d07d8703d35293f823e708762dd2998fb4c79"
+    ),
+    "solve --budget 1 s4": (
+        "494ed307f510d84b0f27b9e8f40073f47a18c753f5f3655eb0a7263165c62009"
+    ),
+    "folner d3": (
+        "5301a8c894a9b5dab8062aed9faec5b5c9281c38caabfd3f3bc2bde6ab43f112"
+    ),
+}
+
+
 def digest(obj) -> str:
     return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
 
@@ -126,3 +188,14 @@ def test_cli_outputs(tmp_path, argv):
     assert main(argv.split() + ["--out", out]) == 0
     with open(out) as fh:
         assert digest(json.load(fh)) == CLI[argv]
+
+
+@pytest.mark.parametrize("case", sorted(FINITE_GROUPS))
+def test_finite_group_outputs(tmp_path, case):
+    *argv, name = case.split()
+    infile = tmp_path / "in.json"
+    infile.write_text(json.dumps(INPUT_FILES[argv[0]][name]))
+    out = str(tmp_path / "out.json")
+    assert main(argv + ["--in", str(infile), "--out", out]) == 0
+    with open(out) as fh:
+        assert digest(json.load(fh)) == FINITE_GROUPS[case]

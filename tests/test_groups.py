@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -54,6 +55,84 @@ def test_bad_table_rejected():
     table = {(a, b): 0 for a in els for b in els}
     with pytest.raises(ValueError):
         FiniteGroup(els, table)
+
+
+def old_group_check(elements, table):
+    """The triple-loop check that preceded Light's test: the ValueError
+    message FiniteGroup should raise for this table, or None."""
+    elset = set(elements)
+    for g in elements:
+        for h in elements:
+            if (g, h) not in table or table[(g, h)] not in elset:
+                return "multiplication table is not closed"
+    for e in elements:
+        if all(table[(e, g)] == g and table[(g, e)] == g for g in elements):
+            ident = e
+            break
+    else:
+        return "no identity element"
+    for g in elements:
+        if not any(table[(g, h)] == ident and table[(h, g)] == ident for h in elements):
+            return f"no inverse for {g}"
+    for a in elements:
+        for b in elements:
+            for c in elements:
+                if table[(table[(a, b)], c)] != table[(a, table[(b, c)])]:
+                    return "multiplication table is not associative"
+    return None
+
+
+# an order-5 loop: closed, identity 0, every element its own inverse
+LOOP_5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+
+
+def test_non_associative_loop_rejected():
+    els = list(range(5))
+    table = {(a, b): LOOP_5[a][b] for a in els for b in els}
+    assert all(LOOP_5[a][0] == LOOP_5[0][a] == a and LOOP_5[a][a] == 0 for a in els)
+    assert old_group_check(els, table) == "multiplication table is not associative"
+    with pytest.raises(ValueError, match="not associative"):
+        FiniteGroup(els, table)
+
+
+def test_non_associativity_away_from_first_generator_rejected():
+    # C2 x LOOP_5, listed so that the first generator found, (1, 0), lies in
+    # the C2 factor, where every triple with it in the middle associates
+    els = sorted(itertools.product(range(2), range(5)), key=lambda g: g[::-1])
+    table = {(g, h): ((g[0] + h[0]) % 2, LOOP_5[g[1]][h[1]]) for g in els for h in els}
+    assert els[1] == (1, 0)
+    assert all(table[(table[(a, els[1])], c)] == table[(a, table[(els[1], c)])]
+               for a in els for c in els)
+    assert old_group_check(els, table) == "multiplication table is not associative"
+    with pytest.raises(ValueError, match="not associative"):
+        FiniteGroup(els, table)
+
+
+def test_known_groups_accepted():
+    S4 = FiniteGroup.symmetric(4)
+    assert len(S4.elements) == 24 and S4.identity == (0, 1, 2, 3)
+    for n in range(1, 13):
+        C = FiniteGroup.cyclic(n)
+        assert C.identity == 0 and all(C.mul(g, C.inv(g)) == 0 for g in C.elements)
+
+
+BASE_GROUPS = [FiniteGroup.cyclic(n) for n in range(1, 8)] + [FiniteGroup.symmetric(3)]
+
+
+@given(st.data())
+def test_one_changed_entry_rejected_exactly_when_old_check_rejects(data):
+    G = data.draw(st.sampled_from(BASE_GROUPS))
+    els = list(G.elements)
+    key = data.draw(st.sampled_from(sorted(G.table)))
+    table = dict(G.table)
+    table[key] = data.draw(st.sampled_from(els + ["x"]))
+    expected = old_group_check(els, table)
+    if expected is None:
+        assert FiniteGroup(els, table).table == table
+    else:
+        with pytest.raises(ValueError) as exc:
+            FiniteGroup(els, table)
+        assert str(exc.value) == expected
 
 
 def test_ball_sizes_free():
