@@ -72,10 +72,6 @@ class SetSystem:
         }
 
 
-def x_restricted(sys: SetSystem, s, T) -> frozenset:
-    return sys.x_restricted(s, T)
-
-
 def _count_vectors(total: int, parts: int):
     """Nonnegative integer vectors summing to `total`, lexicographic order."""
     if parts == 1:

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 malformed input, 2 Folner search exhausted,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -270,8 +271,11 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+_parser = functools.cache(build_parser)  # parse_args leaves the parser as it is
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:

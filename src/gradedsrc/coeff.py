@@ -449,9 +449,6 @@ QQ = Rationals()
 ZZ = Integers()
 ZSQRT5 = QuadRing()
 
-SQRT5_GEN1 = (1, 1)  # 1 + sqrt(-5)
-SQRT5_GEN2 = (3, 0)
-
 
 def quad_mul(x, y):
     return ZSQRT5.mul(x, y)

@@ -141,27 +141,11 @@ class GRElement:
     def support(self) -> FiniteSubset:
         return FiniteSubset.of(self.ring.group, self.terms.keys())
 
-    def coeff_sum(self):
-        """Image under the augmentation map."""
-        R = self.ring.coeff
-        acc = R.zero
-        for c in self.terms.values():
-            acc = R.add(acc, c)
-        return acc
-
     def __repr__(self):
         if not self.terms:
             return "0"
         keys = sorted(self.terms, key=self.ring.group.sort_key)
         return " + ".join(f"{self.terms[g]!r}*d({g})" for g in keys)
-
-
-def homogeneous_component(x: GRElement, g):
-    return x.component(g)
-
-
-def support(x: GRElement) -> FiniteSubset:
-    return x.support()
 
 
 # ---------------------------------------------------------------------------
@@ -187,10 +171,6 @@ SG_ONE = SignGradedElement((1, 0), (0, 0))
 
 def sign_graded_add(u: SignGradedElement, v: SignGradedElement) -> SignGradedElement:
     return SignGradedElement(ZSQRT5.add(u.s, v.s), ZSQRT5.add(u.x, v.x))
-
-
-def sign_graded_neg(u: SignGradedElement) -> SignGradedElement:
-    return SignGradedElement(ZSQRT5.neg(u.s), ZSQRT5.neg(u.x))
 
 
 def sign_graded_mul(u: SignGradedElement, v: SignGradedElement) -> SignGradedElement:

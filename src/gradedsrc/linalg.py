@@ -3,18 +3,22 @@
 Kernels go through one sparse engine, ``kernel_vectors``, which takes one
 ``{row: entry}`` dict per column; ``kernel_basis`` is its dense front end.
 ``rref``, ``rank`` and ``determinant`` work on small dense matrices, lists of
-row lists.  Everything runs through the ring descriptor protocol; integer
-kernels go through the rational kernel with denominators cleared to
-primitive vectors.
+row lists.  Everything runs through the ring descriptor protocol.  Q and Z
+kernels run mod a prime first and are checked exactly; integer kernels are
+cleared to primitive vectors.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from itertools import islice
 from math import gcd, lcm
 
-from .coeff import QQ, Integers
+from .coeff import QQ, Integers, PrimeField, Rationals
+
+MODULUS = (1 << 61) - 1  # Q and Z kernels run mod this prime first
+_LIFT_BOUND = 1 << 30  # 2 * _LIFT_BOUND**2 < MODULUS: reconstruction is unique
 
 
 def rref(matrix, ring, ncols=None):
@@ -82,14 +86,68 @@ def kernel_vectors(columns, ring):
     so it is the unique such kernel vector: the one reduced row echelon form
     gives.  Vectors are dense lists of length ``len(columns)``.
 
-    Over Z the columns are reduced over Q and each vector is cleared to a
-    primitive integer vector with positive leading entry.
+    Over Q and Z the engine runs mod p = ``MODULUS`` first: columns
+    independent mod p are independent over Q, so each lifted vector that
+    passes the exact check is the one exact elimination yields, and exact
+    elimination takes over at the first failure.  Over Z each vector is
+    cleared to a primitive integer vector with positive leading entry.
     """
-    if isinstance(ring, Integers):
-        rational = [{r: Fraction(a) for r, a in col.items()} for col in columns]
-        for v in kernel_vectors(rational, QQ):
-            yield clear_denominators(v)
+    if not isinstance(ring, (Rationals, Integers)):
+        yield from _kernel_engine(columns, ring)
         return
+    done = 0
+    try:
+        # a/b as a * b^-1 mod p; pow raises ValueError if p divides b
+        modular = [{r: a.numerator * pow(a.denominator, -1, MODULUS) % MODULUS
+                    for r, a in col.items()} for col in columns]
+        for u in _kernel_engine(modular, _PrimeModulus()):
+            yield _lift(u, columns, ring)
+            done += 1
+        return
+    except ValueError:  # p divides a denominator, or a vector did not lift
+        pass
+    rational = [{r: Fraction(a) for r, a in col.items()} for col in columns]
+    for v in islice(_kernel_engine(rational, QQ), done, None):
+        yield clear_denominators(v) if isinstance(ring, Integers) else v
+
+
+class _PrimeModulus(PrimeField):
+    """F_p for p = ``MODULUS``, built without PrimeField's primality test."""
+
+    def __init__(self):
+        self.p, self.zero, self.one, self.name = MODULUS, 0, 1, "F(2^61-1)"
+
+
+def _reconstruct(u):
+    """a/b = u mod p with |a|, b < ``_LIFT_BOUND``, by Wang's half extended
+    Euclid on p and u; ValueError if there is none."""
+    r0, r1, s0, s1 = MODULUS, u, 0, 1
+    while r1 >= _LIFT_BOUND:
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    if abs(s1) >= _LIFT_BOUND:
+        raise ValueError(f"{u} has no rational reconstruction")
+    return Fraction(r1, s1)
+
+
+def _lift(u, columns, ring):
+    """The exact kernel vector a mod-p one reconstructs to; ValueError if an
+    entry does not reconstruct or sum_c v_c * col_c = 0 fails over Q."""
+    v = [_reconstruct(x) if x else QQ.zero for x in u]
+    w = clear_denominators(v)
+    acc = {}
+    for c, k in enumerate(w):
+        if k:
+            for r, a in columns[c].items():
+                num, den = a.as_integer_ratio()  # integer entries keep the sums in int
+                acc[r] = acc.get(r, 0) + (k * num if den == 1 else k * a)
+    if any(acc.values()):
+        raise ValueError("the lifted vector is not in the kernel")
+    return w if isinstance(ring, Integers) else v
+
+
+def _kernel_engine(columns, ring):
+    """The column engine of ``kernel_vectors`` over a field."""
     zero, one = ring.zero, ring.one
     is_zero, sub, mul = ring.is_zero, ring.sub, ring.mul
 
@@ -151,11 +209,10 @@ def kernel_basis(matrix, ring, ncols=None):
 
 def clear_denominators(vec):
     """Primitive integer vector proportional to a rational one, leading entry > 0."""
-    mult = lcm(*(f.denominator for f in vec)) if vec else 1
-    ints = [int(f * mult) for f in vec]
-    g = 0
-    for a in ints:
-        g = gcd(g, a)
+    ratios = [f.as_integer_ratio() for f in vec]
+    mult = lcm(*(d for _, d in ratios))
+    ints = [n * (mult // d) for n, d in ratios]
+    g = gcd(*ints)
     if g > 1:
         ints = [a // g for a in ints]
     lead = next((a for a in ints if a != 0), 0)

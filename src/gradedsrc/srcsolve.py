@@ -8,7 +8,7 @@ argument are just the group elements themselves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .coeff import ExtField, Integers, PrimeField, Rationals
@@ -64,10 +64,7 @@ class LiftedSystem:
     columns: list
     row_index: list  # (g, i) pairs, g-major
     col_index: list  # (j, f) pairs, f-major
-    S: FiniteSubset
-    F: FiniteSubset
     base_ring: object
-    provenance: dict = field(default_factory=dict)
 
     @property
     def matrix(self) -> list:
@@ -104,13 +101,7 @@ def lift_system(sys: LinearSystem, F: FiniteSubset) -> LiftedSystem:
         }
         for j, f in col_index
     ]
-    provenance = {
-        "row_order": "group elements of SF in canonical order, then equation index",
-        "col_order": "elements of F in canonical order, then unknown index",
-        "S": [G.elem_to_json(g) for g in S],
-        "F": [G.elem_to_json(f) for f in F],
-    }
-    return LiftedSystem(columns, row_index, col_index, S, F, sys.ring.coeff, provenance)
+    return LiftedSystem(columns, row_index, col_index, sys.ring.coeff)
 
 
 def assemble_solution(sys: LinearSystem, kv, F: FiniteSubset) -> SolutionVector:
@@ -154,7 +145,7 @@ def solve_src(sys: LinearSystem, budget: int = 64) -> SolutionVector:
     ratio = Fraction(sys.n, sys.m)
     F = folner_search(G, S, ratio, budget)
     lifted = lift_system(sys, F)
-    assert sys.m * len(product_set(S, F)) < sys.n * len(F)
+    assert len(lifted.row_index) < len(lifted.col_index)
     kv = next(kernel_vectors(lifted.columns, lifted.base_ring), None)
     if kv is None:
         raise UnexpectedEmptyKernel("rank bound violated; logic fault")

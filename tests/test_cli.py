@@ -107,6 +107,22 @@ def test_solve_budget_exhaustion(tmp_path, capsys):
     assert "folner" in capsys.readouterr().err
 
 
+def test_parser_reused_without_leaking_options(tmp_path):
+    # main parses every call with one parser; no option value may carry over
+    from gradedsrc import cli
+
+    infile = write(tmp_path, "sys.json", one_pm_t_json())
+    out = str(tmp_path / "sol.json")
+    assert main(["solve", "--in", infile, "--budget", "5", "--out", out]) == 0
+    assert json.loads(open(out).read())["provenance"]["budget"] == 5
+    theta_out = str(tmp_path / "theta0.json")
+    assert main(["theta", "--radius", "0", "--out", theta_out]) == 0
+    assert json.loads(open(theta_out).read())["theta"]["ncols"] == 10
+    assert main(["solve", "--in", infile, "--out", out]) == 0
+    assert json.loads(open(out).read())["provenance"]["budget"] == 64
+    assert cli._parser() is cli._parser()
+
+
 def test_solve_malformed_input(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text("{not json")

@@ -102,6 +102,13 @@ CLI = {
     "theta --radius 3 --seed 0": (
         "229fa6be893271b11a25b2a11067098efee4a601c30bc1c3152625cf0f93b87b"
     ),
+    # recorded with exact elimination alone, before the mod-p pass over Q and Z
+    "embed-cert --coeff Q --radius 4": (
+        "eaef464cd6174dc87dba552dfc7a47d2962581e6be7c25769d1d36eb7c4ee53d"
+    ),
+    "embed-cert --coeff Z --radius 4": (
+        "77162fb3c58f7ea42f5c0dc29d30e64cfc75947ffd100f26edd6484adc00b932"
+    ),
 }
 
 
@@ -151,7 +158,22 @@ FOLNER_D3 = {
     "ratio": "3/2",
 }
 
-INPUT_FILES = {"solve": {"s5": SOLVE_S5, "s4": SOLVE_S4}, "folner": {"d3": FOLNER_D3}}
+# a 2 x 3 system over Z[Z^2]
+SOLVE_Z_Z2 = {
+    "group": {"family": "abelian", "rank": 2},
+    "coeff": {"ring": "Z"},
+    "m": 2,
+    "n": 3,
+    "a": [
+        [[[[0, 0], 2], [[1, 0], -3]], [[[0, 1], 5]], [[[1, 1], 1], [[0, 0], 4]]],
+        [[[[1, 0], 7]], [[[0, 0], -1], [[0, 1], 2]], [[[-1, 0], 3]]],
+    ],
+}
+
+INPUT_FILES = {
+    "solve": {"s5": SOLVE_S5, "s4": SOLVE_S4, "z_z2": SOLVE_Z_Z2},
+    "folner": {"d3": FOLNER_D3},
+}
 
 # recorded with the triple-loop associativity check that preceded Light's test
 FINITE_GROUPS = {
@@ -164,6 +186,12 @@ FINITE_GROUPS = {
     "folner d3": (
         "5301a8c894a9b5dab8062aed9faec5b5c9281c38caabfd3f3bc2bde6ab43f112"
     ),
+}
+
+
+# recorded with exact elimination alone, before the mod-p pass over Q and Z
+INTEGER_SOLVE = {
+    "solve z_z2": "1bd110573c534c7cb624444295b78ef41533434fcd123a332b94966b77245602",
 }
 
 
@@ -199,3 +227,14 @@ def test_finite_group_outputs(tmp_path, case):
     assert main(argv + ["--in", str(infile), "--out", out]) == 0
     with open(out) as fh:
         assert digest(json.load(fh)) == FINITE_GROUPS[case]
+
+
+@pytest.mark.parametrize("case", sorted(INTEGER_SOLVE))
+def test_integer_solve_outputs(tmp_path, case):
+    command, name = case.split()
+    infile = tmp_path / "in.json"
+    infile.write_text(json.dumps(INPUT_FILES[command][name]))
+    out = str(tmp_path / "out.json")
+    assert main([command, "--in", str(infile), "--out", out]) == 0
+    with open(out) as fh:
+        assert digest(json.load(fh)) == INTEGER_SOLVE[case]

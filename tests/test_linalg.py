@@ -1,9 +1,11 @@
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gradedsrc import linalg
 from gradedsrc.coeff import QQ, ZZ, PrimeField, ff_extend
 from gradedsrc.linalg import (
     clear_denominators,
@@ -123,3 +125,112 @@ def test_kernel_vectors_match_rref(case):
             w[c] = field.neg(rows[i][free])
         expected.append(clear_denominators(w) if ring == ZZ else w)
     assert vectors == expected
+
+
+# --- the mod-p pass over Q and Z, and its fallback to exact elimination -------
+
+P = linalg.MODULUS
+
+
+def exact_vectors(columns, ring):
+    """Kernel vectors from the private Fraction engine alone, no mod-p pass."""
+    rational = [{r: Fraction(a) for r, a in col.items()} for col in columns]
+    vectors = linalg._kernel_engine(rational, QQ)
+    return [clear_denominators(v) if ring == ZZ else v for v in vectors]
+
+
+small = st.integers(-3, 7)
+large = st.sampled_from([P, -P, 3 * P, P - 1, P + 1, 2**40 + 1, -(2**40), 2**40 - 1])
+numerators = st.one_of(st.just(0), small, small, small, large)
+denominators = st.one_of(st.just(1), st.just(1), st.integers(2, 6), st.sampled_from([P, 2 * P]))
+
+
+@st.composite
+def rational_columns(draw):
+    ring = draw(st.sampled_from([QQ, ZZ]))
+    nrows = draw(st.integers(1, 5))
+    ncols = draw(st.integers(1, 6))
+    entry = numerators if ring == ZZ else st.builds(Fraction, numerators, denominators)
+    columns = [{r: a for r in range(nrows) if (a := draw(entry))} for _ in range(ncols)]
+    return ring, columns
+
+
+@given(rational_columns())
+def test_kernel_vectors_equal_exact_engine(case):
+    ring, columns = case
+    vectors = list(kernel_vectors(columns, ring))
+    assert vectors == exact_vectors(columns, ring)
+    kind = int if ring == ZZ else Fraction
+    assert all(type(x) is kind for v in vectors for x in v)
+
+
+@pytest.fixture
+def engine_rings(monkeypatch):
+    """The ring of every engine run; QQ marks the exact fallback."""
+    seen = []
+    engine = linalg._kernel_engine
+
+    def spy(columns, ring):
+        seen.append(ring)
+        return engine(columns, ring)
+
+    monkeypatch.setattr(linalg, "_kernel_engine", spy)
+    return seen
+
+
+def test_mod_p_pass_alone_on_small_entries(engine_rings):
+    assert kernel_basis(frac([[1, 1], [2, 2]]), QQ) == [[-1, 1]]
+    assert engine_rings and QQ not in engine_rings
+
+
+@pytest.mark.parametrize("ring", [QQ, ZZ])
+def test_singular_only_mod_p_falls_back(engine_rings, ring):
+    matrix = [[1, 0], [0, P]]
+    if ring == QQ:
+        matrix = frac(matrix)
+    assert kernel_basis(matrix, ring) == []
+    assert engine_rings[-1] == QQ
+
+
+@pytest.mark.parametrize("ring", [QQ, ZZ])
+def test_unreconstructible_vector_falls_back(engine_rings, ring):
+    # -b/a is past the reconstruction bound; mod 2^61 - 1 its residue
+    # reconstructs to the wrong 2097151/2097153, which the exact check rejects
+    a, b = 2**40 + 1, 2**40 - 1
+    matrix = [[a, b]] if ring == ZZ else frac([[a, b]])
+    expected = [[b, -a]] if ring == ZZ else [[Fraction(-b, a), Fraction(1)]]
+    assert kernel_basis(matrix, ring) == expected
+    assert engine_rings[-1] == QQ
+
+
+@pytest.mark.parametrize("ring", [QQ, ZZ])
+def test_entry_without_reconstruction_falls_back(engine_rings, ring):
+    a = 3**30
+    with pytest.raises(ValueError):
+        linalg._reconstruct(-pow(a, -1, P) % P)
+    matrix = [[a, 1]] if ring == ZZ else frac([[a, 1]])
+    expected = [[1, -a]] if ring == ZZ else [[Fraction(-1, a), Fraction(1)]]
+    assert kernel_basis(matrix, ring) == expected
+    assert engine_rings[-1] == QQ
+
+
+@pytest.mark.parametrize("ring", [QQ, ZZ])
+def test_fallback_skips_the_vectors_already_lifted(engine_rings, ring):
+    # columns 3 and 5 depend on earlier ones with small coefficients, column 4
+    # with 3^31: its vector does not lift, so exact elimination yields 4 and 5
+    c0, c1, c2 = (1, 2, 0), (0, 1, 5), (3, 0, 1)
+    matrix_columns = [c0, c1, c2, [a + b for a, b in zip(c0, c1)],
+                      [3**31 * a + 7 * b for a, b in zip(c0, c1)],
+                      [a - b for a, b in zip(c2, c0)]]
+    elem = int if ring == ZZ else Fraction
+    columns = [{r: elem(a) for r, a in enumerate(col) if a} for col in matrix_columns]
+    vectors = list(kernel_vectors(columns, ring))
+    assert vectors == exact_vectors(columns, ring)
+    assert [max(c for c, x in enumerate(v) if x) for v in vectors] == [3, 4, 5]
+    assert engine_rings[-1] == QQ
+
+
+def test_denominator_divisible_by_p_falls_back(engine_rings):
+    matrix = [[Fraction(1, P), Fraction(1)]]
+    assert kernel_basis(matrix, QQ) == [[Fraction(-P), Fraction(1)]]
+    assert engine_rings == [QQ]
