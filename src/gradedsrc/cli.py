@@ -26,7 +26,7 @@ from .bartholdi import (
 from .coeff import QQ, ZZ, ff_extend
 from .errors import FolnerNotFound, GradedSrcError, SetSystemNotFound
 from .gring import GroupRing, IntConstPolyRing, strongly_graded_check
-from .groups import FiniteSubset, FreeGroup, folner_search, product_set
+from .groups import FiniteSubset, FreeGroup, folner_search
 from .ideals import SubgroupHandle, distinguish_subgroups, ideal_membership_IH
 from .serialize import (
     coeff_from_json,
@@ -124,11 +124,10 @@ def cmd_folner(args) -> int:
     ratio = Fraction(obj["ratio"])
     budget = int(obj.get("budget", args.budget))
     try:
-        F = folner_search(G, S, ratio, budget)
+        F, SF = folner_search(G, S, ratio, budget)
     except FolnerNotFound as exc:
         print(f"folner search failed: {exc}", file=sys.stderr)
         return 2
-    SF = product_set(S, F)
     emit(
         {
             "group": group_to_json(G),

@@ -194,32 +194,18 @@ def sign_graded_is_unit(u: SignGradedElement) -> bool:
         SignGradedElement((0, 0), (3, 0)),
         SignGradedElement((0, 0), (1, 1)),
     ]
-    cols = []
-    for b in lattice:
-        p = sign_graded_mul(u, b)
-        # coordinates in the basis {(1,0)}, {(0,1)}, {(3,0)}, {(1,1)} of S (+) I
-        a, bb = p.s
-        c, d = p.x
-        cols.append([a, bb, (c - d) // 3, d])
-    det = _det4(cols)
-    return det in (1, -1)
+    # coordinates in the basis {(1,0)}, {(0,1)}, {(3,0)}, {(1,1)} of S (+) I
+    images = [sign_graded_mul(u, b) for b in lattice]
+    cols = [[*p.s, (p.x[0] - p.x[1]) // 3, p.x[1]] for p in images]
+    return _det(cols) in (1, -1)  # a matrix and its transpose share the determinant
 
 
-def _det4(cols):
-    n = len(cols)
-    rows = [[cols[j][i] for j in range(n)] for i in range(n)]
-
-    def det(m):
-        if len(m) == 1:
-            return m[0][0]
-        total = 0
-        for j in range(len(m)):
-            if m[0][j]:
-                minor = [r[:j] + r[j + 1 :] for r in m[1:]]
-                total += (-1) ** j * m[0][j] * det(minor)
-        return total
-
-    return det(rows)
+def _det(m):
+    """Determinant of a small integer matrix by expansion along the first row."""
+    if len(m) == 1:
+        return m[0][0]
+    return sum((-1) ** j * a * _det([r[:j] + r[j + 1 :] for r in m[1:]])
+               for j, a in enumerate(m[0]) if a)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import itemgetter
 
 from .errors import FolnerNotFound, InfiniteIndex, MixedGroups
 
@@ -132,13 +133,9 @@ class FreeAbelian:
     def sort_key(self, g):
         return g
 
-    def ball_elements(self, r: int):
-        # L1 ball
-        out = set()
-        for v in itertools.product(range(-r, r + 1), repeat=self.rank):
-            if sum(abs(a) for a in v) <= r:
-                out.add(v)
-        return out
+    def ball_elements(self, r: int):  # the L1 ball
+        return {v for v in itertools.product(range(-r, r + 1), repeat=self.rank)
+                if sum(map(abs, v)) <= r}
 
     def box_elements(self, side: int):
         return set(itertools.product(range(side), repeat=self.rank))
@@ -163,90 +160,113 @@ class FreeAbelian:
 
 
 class FiniteGroup:
-    """Explicit finite group.  The multiplication table is checked once on
-    construction (closure, identity, inverses, associativity by Light's test)."""
+    """Explicit finite group.  The product is one table of index rows:
+    ``rows[i][j]`` is the position of ``elements[i] * elements[j]``.  The table
+    is checked once on construction (closure, identity, inverses, associativity
+    by Light's test)."""
 
     family = "finite"
 
     def __init__(self, elements, table, generators=None, kind="label"):
-        self.elements = tuple(elements)
-        self.table = dict(table)
-        self.kind = kind
-        self._index = {g: i for i, g in enumerate(self.elements)}
-        if len(self._index) != len(self.elements):
-            raise ValueError("duplicate elements")
-        self._check_group()
-        self.generators_list = tuple(generators) if generators else tuple(
-            g for g in self.elements if g != self.identity
-        )
+        """``table`` maps each pair (g, h) of elements to g*h."""
+        els = tuple(elements)
+        index = {g: i for i, g in enumerate(els)}
+        try:
+            rows = [[index[table[g, h]] for h in els] for g in els]
+        except KeyError:  # a pair without a product in ``els``: no rows, not closed
+            rows = ()
+        self._init_table(els, rows, generators, kind)
 
-    def _check_group(self):
-        els = self.elements
-        elset = set(els)
-        for g in els:
-            for h in els:
-                if (g, h) not in self.table or self.table[(g, h)] not in elset:
-                    raise ValueError("multiplication table is not closed")
-        ident = None
-        for e in els:
-            if all(self.table[(e, g)] == g and self.table[(g, e)] == g for g in els):
-                ident = e
-                break
-        if ident is None:
+    @classmethod
+    def from_rows(cls, elements, rows, generators=None, kind="label") -> "FiniteGroup":
+        """The group on ``elements`` in which ``elements[i] * elements[j]`` is
+        ``elements[rows[i][j]]``; each entry must lie in range(n)."""
+        G = cls.__new__(cls)
+        G._init_table(tuple(elements), rows, generators, kind)
+        return G
+
+    def _init_table(self, els, rows, generators, kind):
+        """Store the table after checking distinct elements, closure, identity,
+        inverses and associativity, in this order."""
+        self.elements, self.kind, n, generators = els, kind, len(els), tuple(generators or ())
+        self._index = {g: i for i, g in enumerate(els)}
+        if len(self._index) != n:
+            raise ValueError("duplicate elements")
+        self.rows = rows = tuple(map(tuple, rows))
+        valid = set(range(n))
+        if len(rows) != n or not all(len(row) == n and valid.issuperset(row) for row in rows):
+            raise ValueError("multiplication table is not closed")
+        ids = tuple(range(n))
+        e = next((e for e, row in enumerate(rows)
+                  if row == ids and all(r[e] == g for g, r in enumerate(rows))), None)
+        if e is None:
             raise ValueError("no identity element")
-        self.identity = ident
+        self.identity = els[e]
         self._inv = {}
-        for g in els:
-            for h in els:
-                if self.table[(g, h)] == ident and self.table[(h, g)] == ident:
-                    self._inv[g] = h
-                    break
-            else:
-                raise ValueError(f"no inverse for {g}")
-        # Light's test: the g with (ag)c = a(gc) for all a, c contain the
+        for g, row in enumerate(rows):
+            try:  # the first h with g*h = e and h*g = e
+                h = row.index(e)
+                while rows[h][g] != e:
+                    h = row.index(e, h + 1)
+            except ValueError:
+                raise ValueError(f"no inverse for {els[g]}") from None
+            self._inv[els[g]] = els[h]
+        # Light's test: the s with (as)c = a(sc) for all a, c contain the
         # identity and are closed under the table's product (no associativity
-        # needed to show it), so checking g over a generating set suffices.
-        # Each element not yet reached becomes a generator: in a group each
-        # one at least doubles the reached subgroup, so |gens| <= log2 |G|.
-        gens, reached = [], {ident}
-        for g in els:
-            if g not in reached:
-                gens.append(g)
-                reached = _bfs(self.mul, reached, gens)
-        t = self.table
+        # needed to show it), so checking s over a generating set suffices.
+        # The walk starts from the declared generators and adds each element
+        # not yet reached, so the set it checks is verified to generate.
+        gens, reached = [], {e}
+        for s in itertools.chain(map(self._index.__getitem__, generators), ids):
+            if s not in reached:
+                gens.append(s)
+                reached = _bfs(lambda a, t: rows[a][t], reached, gens)
         for s in gens:
-            sc = [t[(s, c)] for c in els]
-            for a in els:
-                a_s = t[(a, s)]
-                if [t[(a_s, c)] for c in els] != [t[(a, x)] for x in sc]:
+            a_sc = itemgetter(*rows[s])  # row of a -> (a(sc))_c; s != e, so n > 1
+            for row in rows:
+                if rows[row[s]] != a_sc(row):
                     raise ValueError("multiplication table is not associative")
+        self.generators_list = generators or tuple(g for g in els if g != self.identity)
 
     @classmethod
     def symmetric(cls, n: int) -> "FiniteGroup":
         """S_n acting on {0..n-1}; composition applies the right factor first."""
         els = sorted(itertools.permutations(range(n)))
-        table = {(s, t): tuple(map(s.__getitem__, t)) for s in els for t in els}
-        gens = []
-        if n >= 2:
-            gens.append(tuple([1, 0] + list(range(2, n))))
-        if n >= 3:
-            gens.append(tuple(list(range(1, n)) + [0]))
-        g = cls(els, table, generators=gens or None, kind="perm")
-        g.n = n
-        return g
+        # a transposition and an n-cycle, which coincide for n = 2
+        gens = [(1, 0, *range(2, n)), (*range(1, n), 0)][: max(0, min(2, n - 1))]
+        # Only the generators' rows are looked up.  Since (a*s)*c = a*(s*c),
+        # the row of a*s is the row of a read at the positions in the row of
+        # s, so the others follow in BFS order from the identity's row.
+        pos = {g: i for i, g in enumerate(els)}
+        steps = [(pos[s], itemgetter(*[pos[tuple(map(s.__getitem__, c))] for c in els]))
+                 for s in gens]
+        rows = [tuple(range(len(els)))] + [None] * (len(els) - 1)
+        queue = [0]
+        for a in queue:  # the loop also visits the positions appended below
+            for s, step in steps:
+                a_s = rows[a][s]
+                if rows[a_s] is None:
+                    rows[a_s] = step(rows[a])
+                    queue.append(a_s)
+        return cls.from_rows(els, rows, generators=gens or None, kind="perm")
 
     @classmethod
     def cyclic(cls, n: int) -> "FiniteGroup":
         """C_n with elements 0..n-1 under addition mod n."""
-        els = list(range(n))
-        table = {(a, b): (a + b) % n for a in els for b in els}
-        return cls(els, table, generators=[1 % n], kind="label")
+        els = tuple(range(n))
+        return cls.from_rows(els, [els[a:] + els[:a] for a in els], generators=[1 % n])
 
     def mul(self, g, h):
-        return self.table[(g, h)]
+        return self.elements[self.rows[self._index[g]][self._index[h]]]
 
     def inv(self, g):
         return self._inv[g]
+
+    @cached_property
+    def table(self) -> dict:
+        """The product as a dict {(g, h): g*h}, derived from the rows."""
+        els = self.elements
+        return {(g, h): els[k] for g, row in zip(els, self.rows) for h, k in zip(els, row)}
 
     def generators(self):
         return list(self.generators_list)
@@ -279,7 +299,7 @@ class FiniteGroup:
         return other is self or (
             type(other) is FiniteGroup
             and other.elements == self.elements
-            and other.table == self.table
+            and other.rows == self.rows
         )
 
     def __hash__(self):
@@ -335,14 +355,14 @@ def product_set(S: FiniteSubset, F: FiniteSubset) -> FiniteSubset:
     return FiniteSubset.of(G, {G.mul(s, f) for s in S for f in F})
 
 
-def folner_ratio_ok(S: FiniteSubset, F: FiniteSubset, ratio_bound: Fraction) -> bool:
-    """Strict check |SF| < ratio_bound * |F|, exact rational comparison."""
+def folner_ratio_ok(S: FiniteSubset, F: FiniteSubset, ratio_bound: Fraction):
+    """SF if |SF| < ratio_bound * |F| (strict, exact), else False."""
     sf = product_set(S, F)
-    return len(sf) * ratio_bound.denominator < ratio_bound.numerator * len(F)
+    return sf if len(sf) * ratio_bound.denominator < ratio_bound.numerator * len(F) else False
 
 
-def folner_search(G, S: FiniteSubset, ratio_bound, budget: int) -> FiniteSubset:
-    """Search the per-family schedule for F with |SF| < ratio_bound * |F|.
+def folner_search(G, S: FiniteSubset, ratio_bound, budget: int) -> tuple:
+    """(F, SF) for the first scheduled F with |SF| < ratio_bound * |F|.
 
     Schedules: boxes [0,L)^d for free abelian groups, the whole group for
     finite groups, balls for free groups (which will exhaust the budget for
@@ -352,23 +372,21 @@ def folner_search(G, S: FiniteSubset, ratio_bound, budget: int) -> FiniteSubset:
     if ratio_bound <= 1:
         raise ValueError("ratio_bound must exceed 1")
     if isinstance(G, FiniteGroup):
-        F = FiniteSubset.of(G, G.elements)
-        if folner_ratio_ok(S, F, ratio_bound):
-            return F
-        raise FolnerNotFound("whole finite group does not meet the bound")
-    if isinstance(G, FreeAbelian):
-        for side in range(1, budget + 1):
-            F = box(G, side)
-            if folner_ratio_ok(S, F, ratio_bound):
-                return F
-        raise FolnerNotFound(f"no box of side <= {budget} meets the bound")
-    if isinstance(G, FreeGroup):
-        for r in range(budget + 1):
-            F = ball(G, r)
-            if folner_ratio_ok(S, F, ratio_bound):
-                return F
-        raise FolnerNotFound(f"no ball of radius <= {budget} meets the bound")
-    raise TypeError(f"unsupported group {G!r}")
+        schedule = [FiniteSubset.of(G, G.elements)]
+        failure = "whole finite group does not meet the bound"
+    elif isinstance(G, FreeAbelian):
+        schedule = (box(G, side) for side in range(1, budget + 1))
+        failure = f"no box of side <= {budget} meets the bound"
+    elif isinstance(G, FreeGroup):
+        schedule = (ball(G, r) for r in range(budget + 1))
+        failure = f"no ball of radius <= {budget} meets the bound"
+    else:
+        raise TypeError(f"unsupported group {G!r}")
+    for F in schedule:
+        SF = folner_ratio_ok(S, F, ratio_bound)
+        if SF is not False:  # an empty S gives an empty, falsy SF
+            return F, SF
+    raise FolnerNotFound(failure)
 
 
 # ---------------------------------------------------------------------------
@@ -429,14 +447,12 @@ class AbelianCosets:
         if len(basis) != d:
             raise InfiniteIndex("subgroup generators do not have full rank")
         self.basis = [row for _, row in basis]
-        self.num_cosets = 1
-        for i in range(d):
-            self.num_cosets *= self.basis[i][i]
-        self.representatives = [
-            tuple(v) for v in itertools.product(*(range(self.basis[i][i]) for i in range(d)))
-        ]
-        # not canonical yet: reduce each (upper rows can shift later coords)
-        self.representatives = sorted({self.reduce(v) for v in self.representatives})
+        diagonal = [row[i] for i, row in enumerate(self.basis)]
+        self.num_cosets = math.prod(diagonal)
+        # the box below the diagonal is not canonical yet: reduce each vector
+        # (upper rows can shift later coordinates)
+        corner = itertools.product(*map(range, diagonal))
+        self.representatives = sorted({self.reduce(v) for v in corner})
         assert len(self.representatives) == self.num_cosets
         self._index = {rep: i for i, rep in enumerate(self.representatives)}
 
@@ -445,8 +461,7 @@ class AbelianCosets:
         for i, row in enumerate(self.basis):
             q = v[i] // row[i]
             if q:
-                for j in range(len(v)):
-                    v[j] -= q * row[j]
+                v = [a - q * b for a, b in zip(v, row)]
         return tuple(v)
 
     def index(self, g) -> int:
@@ -466,7 +481,7 @@ class FiniteCosets:
         self.subgroup = FiniteSubset.of(G, sub)
         self.cosets = []
         self._coset_of = {}
-        for g in sorted(G.elements, key=G.sort_key):
+        for g in G.elements:  # in canonical order
             if g in self._coset_of:
                 continue
             idx = len(self.cosets)

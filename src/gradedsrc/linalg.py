@@ -18,6 +18,7 @@ from math import gcd, lcm
 from .coeff import QQ, Integers, PrimeField, Rationals
 
 MODULUS = (1 << 61) - 1  # Q and Z kernels run mod this prime first
+_MODULAR = PrimeField(MODULUS)
 _LIFT_BOUND = 1 << 30  # 2 * _LIFT_BOUND**2 < MODULUS: reconstruction is unique
 
 
@@ -100,7 +101,7 @@ def kernel_vectors(columns, ring):
         # a/b as a * b^-1 mod p; pow raises ValueError if p divides b
         modular = [{r: a.numerator * pow(a.denominator, -1, MODULUS) % MODULUS
                     for r, a in col.items()} for col in columns]
-        for u in _kernel_engine(modular, _PrimeModulus()):
+        for u in _kernel_engine(modular, _MODULAR):
             yield _lift(u, columns, ring)
             done += 1
         return
@@ -109,13 +110,6 @@ def kernel_vectors(columns, ring):
     rational = [{r: Fraction(a) for r, a in col.items()} for col in columns]
     for v in islice(_kernel_engine(rational, QQ), done, None):
         yield clear_denominators(v) if isinstance(ring, Integers) else v
-
-
-class _PrimeModulus(PrimeField):
-    """F_p for p = ``MODULUS``, built without PrimeField's primality test."""
-
-    def __init__(self):
-        self.p, self.zero, self.one, self.name = MODULUS, 0, 1, "F(2^61-1)"
 
 
 def _reconstruct(u):

@@ -22,12 +22,7 @@ def group_to_json(G) -> dict:
     if isinstance(G, FiniteGroup):
         if G.kind == "perm":
             return {"family": "symmetric", "n": len(G.elements[0])}
-        pos = G.sort_key  # an element's position in G.elements
-        return {
-            "family": "finite",
-            "elements": list(G.elements),
-            "table": [[pos(G.mul(g, h)) for h in G.elements] for g in G.elements],
-        }
+        return {"family": "finite", "elements": list(G.elements), "table": list(map(list, G.rows))}
     raise TypeError(f"unsupported group {G!r}")
 
 
@@ -43,12 +38,9 @@ def group_from_json(obj) -> object:
         return FiniteGroup.cyclic(obj["n"])
     if family == "finite":
         els = [tuple(e) if isinstance(e, list) else e for e in obj["elements"]]
-        table = {
-            (els[i], els[j]): els[obj["table"][i][j]]
-            for i in range(len(els))
-            for j in range(len(els))
-        }
-        return FiniteGroup(els, table)
+        if any(type(k) is not int for row in obj["table"] for k in row):
+            raise ValueError("finite group table entries must be element positions")
+        return FiniteGroup.from_rows(els, obj["table"])
     raise ValueError(f"unknown group family {family!r}")
 
 

@@ -82,14 +82,15 @@ class SolutionVector:
     verified: bool
 
 
-def lift_system(sys: LinearSystem, F: FiniteSubset) -> LiftedSystem:
+def lift_system(sys: LinearSystem, F: FiniteSubset, SF=None) -> LiftedSystem:
     """Entry at row (g, i), column (j, f) is the coefficient of g f^-1 in a_ij,
-    so column (j, f) holds each term c*h of a_ij at row (h f, i)."""
+    so column (j, f) holds each term c*h of a_ij at row (h f, i).  ``SF`` is
+    the product of the support with F, when the caller has it already."""
     S = sys.union_support()
     if not len(S):
         raise EmptySupport("all coefficients are zero")
     G = sys.ring.group
-    SF = product_set(S, F)
+    SF = product_set(S, F) if SF is None else SF
     row_index = [(g, i) for g in SF for i in range(sys.m)]
     row_pos = {key: r for r, key in enumerate(row_index)}
     col_index = [(j, f) for f in F for j in range(sys.n)]
@@ -143,8 +144,8 @@ def solve_src(sys: LinearSystem, budget: int = 64) -> SolutionVector:
         xs = (sys.ring.one(),) + tuple(sys.ring.zero() for _ in range(sys.n - 1))
         return SolutionVector(xs, verified=True)
     ratio = Fraction(sys.n, sys.m)
-    F = folner_search(G, S, ratio, budget)
-    lifted = lift_system(sys, F)
+    F, SF = folner_search(G, S, ratio, budget)
+    lifted = lift_system(sys, F, SF)
     assert len(lifted.row_index) < len(lifted.col_index)
     kv = next(kernel_vectors(lifted.columns, lifted.base_ring), None)
     if kv is None:

@@ -59,6 +59,38 @@ def test_finite_group_roundtrip():
     assert group_from_json(group_to_json(G)) == G
 
 
+def test_finite_group_roundtrip_byte_identical():
+    els = ["e", "a", "b"]
+    obj = {"family": "finite", "elements": els, "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]}
+    text = json.dumps(obj, sort_keys=True)
+    assert json.dumps(group_to_json(group_from_json(json.loads(text))), sort_keys=True) == text
+
+
+@pytest.mark.parametrize("table", [
+    [[0, 1], [1, 2]],  # past the end
+    [[0, 1], [1, -2]],  # Python indexing would alias element 0, the right product
+    [[0, 1], [True, 0]],  # equal to the right position, but not an int
+    [[0, 1.0], [1, 0]],
+])
+def test_finite_table_entry_outside_positions_is_bad_input(tmp_path, capsys, table):
+    obj = {
+        "group": {"family": "finite", "elements": ["e", "a"], "table": table},
+        "coeff": {"ring": "Q"},
+        "m": 1,
+        "n": 2,
+        "a": [[[["e", "1"], ["a", "1"]], [["e", "1"]]]],
+    }
+    assert main(["solve", "--in", write(tmp_path, "sys.json", obj)]) == 1
+    assert "bad input" in capsys.readouterr().err
+
+
+def test_prime_past_primality_bound_is_bad_input(tmp_path, capsys):
+    obj = one_pm_t_json()
+    obj["coeff"] = {"ring": "Fp", "p": 2**89 - 1}
+    assert main(["solve", "--in", write(tmp_path, "sys.json", obj)]) == 1
+    assert "bad input" in capsys.readouterr().err
+
+
 def test_coeff_roundtrip():
     for R in (QQ, ZZ, PrimeField(7), ff_extend(2, 3)):
         assert coeff_from_json(coeff_to_json(R)) == R

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from gradedsrc.coeff import (
     ff_extend,
     field_ops,
     ideal_membership_I,
+    is_prime,
     quad_mul,
 )
 from gradedsrc.errors import DivisionByZero, InexactDivision, MixedRings, NotPrime
@@ -43,6 +45,31 @@ def test_ff_extend_descriptors():
 def test_ff_extend_rejects_composite():
     with pytest.raises(NotPrime):
         ff_extend(6, 2)
+
+
+def trial_division_is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def test_is_prime_agrees_with_trial_division():
+    assert [n for n in range(-3, 20000) if is_prime(n) != trial_division_is_prime(n)] == []
+
+
+def test_is_prime_rejects_pseudoprimes():
+    carmichael = [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185]
+    assert not any(map(is_prime, carmichael))
+    assert not is_prime(3215031751)  # strong pseudoprime to bases 2, 3, 5 and 7
+    assert not is_prime(318665857834031151167461)  # ... to the first 12 prime bases
+    assert is_prime(2**61 - 1) and is_prime(2**31 - 1) and not is_prime(2**61 + 1)
+    assert PrimeField(2**61 - 1).p == 2**61 - 1
+
+
+def test_is_prime_refuses_past_its_bound():
+    assert is_prime(3317044064679887385961981 - 1) is False  # even, just below the bound
+    with pytest.raises(ValueError):
+        is_prime(3317044064679887385961981)
+    with pytest.raises(ValueError):
+        PrimeField(2**89 - 1)
 
 
 def test_quad_mul_examples():

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -135,6 +136,50 @@ def test_one_changed_entry_rejected_exactly_when_old_check_rejects(data):
         assert str(exc.value) == expected
 
 
+@given(st.data())
+def test_one_changed_entry_through_rows_matches_old_check(data):
+    # the same property on the rows path: an entry outside range(n) stands
+    # for a product outside the elements
+    G = data.draw(st.sampled_from(BASE_GROUPS))
+    els, n = list(G.elements), len(G.elements)
+    rows = [list(row) for row in G.rows]
+    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    rows[i][j] = data.draw(st.integers(-2, n + 1))
+    table = {(g, h): els[rows[a][b]] if 0 <= rows[a][b] < n else "x"
+             for a, g in enumerate(els) for b, h in enumerate(els)}
+    expected = old_group_check(els, table)
+    if expected is None:
+        assert FiniteGroup.from_rows(els, rows).table == table
+    else:
+        with pytest.raises(ValueError) as exc:
+            FiniteGroup.from_rows(els, rows)
+        assert str(exc.value) == expected
+
+
+def test_declared_generators_are_verified_not_trusted():
+    # C2 x LOOP_5 declaring only (1, 0), from the C2 factor: a check over the
+    # declared generators alone would pass, so the walk must extend them
+    els = sorted(itertools.product(range(2), range(5)), key=lambda g: g[::-1])
+    table = {(g, h): ((g[0] + h[0]) % 2, LOOP_5[g[1]][h[1]]) for g in els for h in els}
+    rows = [[els.index(table[g, h]) for h in els] for g in els]
+    with pytest.raises(ValueError, match="not associative"):
+        FiniteGroup(els, table, generators=[(1, 0)])
+    with pytest.raises(ValueError, match="not associative"):
+        FiniteGroup.from_rows(els, rows, generators=[(1, 0)])
+
+
+def test_symmetric_is_composition_and_cyclic_is_addition():
+    for n in range(1, 6):
+        S = FiniteGroup.symmetric(n)
+        assert len(S.elements) == math.factorial(n)
+        assert all(S.mul(s, t) == tuple(s[k] for k in t) for s in S.elements for t in S.elements)
+        assert all(S.mul(s, S.inv(s)) == S.identity for s in S.elements)
+    for n in range(1, 13):
+        C = FiniteGroup.cyclic(n)
+        assert all(C.mul(a, b) == (a + b) % n for a in range(n) for b in range(n))
+        assert C == FiniteGroup(range(n), {(a, b): (a + b) % n for a in range(n) for b in range(n)})
+
+
 def test_ball_sizes_free():
     assert len(ball(F2, 1)) == 5
     assert len(ball(F2, 2)) == 17
@@ -161,7 +206,7 @@ def test_product_set_mixed_groups():
 
 def test_folner_z2_cross():
     S = FiniteSubset.of(Z2, [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)])
-    F = folner_search(Z2, S, Fraction(2), 20)
+    F, _ = folner_search(Z2, S, Fraction(2), 20)
     assert len(F) == 25  # box of side 5; side 4 fails the strict bound
     assert len(product_set(S, F)) == 45
 
@@ -169,7 +214,7 @@ def test_folner_z2_cross():
 def test_folner_finite_group():
     S3 = FiniteGroup.symmetric(3)
     S = FiniteSubset.of(S3, S3.elements[:3])
-    F = folner_search(S3, S, Fraction(101, 100), 1)
+    F, _ = folner_search(S3, S, Fraction(101, 100), 1)
     assert set(F.elements) == set(S3.elements)
 
 
@@ -180,7 +225,7 @@ def test_folner_free_group_exhausts():
 
 def test_folner_recheck_strict():
     S = FiniteSubset.of(Z2, [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)])
-    F = folner_search(Z2, S, Fraction(2), 20)
+    F, _ = folner_search(Z2, S, Fraction(2), 20)
     assert len(product_set(S, F)) * 1 < 2 * len(F)
 
 

@@ -233,8 +233,32 @@ def test_all_lifted_kernel_vectors_assemble_to_solutions(qz2, rng):
     for _ in range(5):
         sys = random_system(qz2, rng, pool)
         S = sys.union_support()
-        F = folner_search(qz2.group, S, Fraction(3, 1), 12)
+        F, _ = folner_search(qz2.group, S, Fraction(3, 1), 12)
         lifted = lift_system(sys, F)
         for kv in kernel_basis(lifted.matrix, QQ, ncols=len(lifted.col_index)):
             sol = assemble_solution(sys, kv, F)
             assert verify_solution(sys, sol.xs)
+
+
+def test_solve_builds_sf_once(qz2, s3, rng, monkeypatch):
+    # the product set folner_ratio_ok builds for the accepted F is the one
+    # lift_system uses; no further product_set call
+    from gradedsrc import groups, srcsolve
+
+    calls = {"product_set": 0, "folner_ratio_ok": 0}
+
+    def spy(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(groups, "product_set", spy("product_set", groups.product_set))
+    monkeypatch.setattr(srcsolve, "product_set", groups.product_set)
+    monkeypatch.setattr(groups, "folner_ratio_ok", spy("folner_ratio_ok", groups.folner_ratio_ok))
+    for ring, pool, budget in ((GroupRing(s3, QQ), list(s3.elements), 2),
+                               (qz2, [(0, 0), (1, 0), (0, 1), (1, 1)], 12)):
+        for _ in range(3):
+            calls.update(product_set=0, folner_ratio_ok=0)
+            assert solve_src(random_system(ring, rng, pool), budget=budget).verified
+            assert calls["product_set"] == calls["folner_ratio_ok"] >= 1
