@@ -7,6 +7,9 @@ structurally, which is what the group-ring layer uses to detect mixing.
 
 from __future__ import annotations
 
+import functools
+import operator
+from array import array
 from fractions import Fraction
 
 from .errors import DivisionByZero, InexactDivision, MixedRings, NotPrime
@@ -34,6 +37,21 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def _prime_factors(n: int) -> list:
+    out, r = [], 2
+    while r * r <= n:
+        if n % r == 0:
+            out.append(r)
+            while n % r == 0:
+                n //= r
+        r += 1
+    return out + [n] if n > 1 else out
+
+
+def _is_int(x) -> bool:
+    return type(x) is int  # not bool, not float
 
 
 # ---------------------------------------------------------------------------
@@ -262,10 +280,11 @@ class PrimeField:
         return [x]
 
     def from_json(self, obj):
-        if isinstance(obj, list):
-            (v,) = obj
-            return v % self.p
-        return int(obj) % self.p
+        if isinstance(obj, list) and len(obj) == 1:
+            obj = obj[0]
+        if not _is_int(obj):
+            raise ValueError(f"{obj!r} is not an int or an array of one int")
+        return obj % self.p
 
     def __eq__(self, other):
         return type(other) is PrimeField and other.p == self.p
@@ -340,6 +359,10 @@ class ExtField:
             n //= self.p
         return tuple(cs)
 
+    def index(self, x) -> int:
+        """The n with ``from_index(n) == x``."""
+        return sum(c * self.p**i for i, c in enumerate(x))
+
     def elements(self):
         return (self.from_index(n) for n in range(self.order))
 
@@ -353,11 +376,22 @@ class ExtField:
             acc = self.add(self.mul(acc, x), c)
         return acc
 
+    def index_field(self):
+        """This field on its element indices, ints in [0, q), or None above
+        ``TABLE_ORDER_CAP``.  For k = 1 that is ``PrimeField(p)``; otherwise
+        it is the ``TableField``, built once per process and shared by equal
+        fields."""
+        if self.order > TABLE_ORDER_CAP:
+            return None
+        return PrimeField(self.p) if self.k == 1 else _tables(self)
+
     def to_json(self, x):
         return list(x)
 
     def from_json(self, obj):
-        return self._pad(tuple(int(c) % self.p for c in obj))
+        if not isinstance(obj, list) or len(obj) > self.k or not all(map(_is_int, obj)):
+            raise ValueError(f"{obj!r} is not an array of at most {self.k} ints")
+        return self._pad(tuple(c % self.p for c in obj))
 
     def __eq__(self, other):
         return (
@@ -372,6 +406,123 @@ class ExtField:
 
     def __repr__(self):
         return self.name
+
+
+TABLE_ORDER_CAP = 1 << 20  # larger fields keep the polynomial arithmetic
+
+
+class TableField:
+    """F_{p^k} on the element indices of ``ExtField.from_index``, ints in [0, q).
+
+    With g a primitive element, ``exp[i]`` is the index of g^i (the table
+    runs twice round, so sums of two logs need no reduction) and ``log``
+    inverts it: a product or an inverse is one lookup.  Sums use Zech
+    logarithms, ``zech[d]`` = log(1 + g^d) (-1 where 1 + g^d = 0), since
+    g^i + g^j = g^(i + zech[j - i]); ``zsub`` is the same table for
+    1 - g^d, and ``minus_one`` is log(-1).  No operation uses XOR, so every
+    characteristic works (Huber, "Some comments on Zech's logarithms", IEEE
+    Trans. Inf. Theory 36(4), 1990).  The tables are int32 arrays, 4 q bytes
+    each for ``log``, ``zech`` and ``zsub`` and 8 q for ``exp``; build them
+    through ``ExtField.index_field``, which keeps one per field.
+    """
+
+    zero = 0
+    one = 1
+    is_zero = staticmethod(operator.not_)
+
+    def __init__(self, field: ExtField):
+        p, k, q = field.p, field.k, field.order
+        n = q - 1
+        self.p, self.order, self.name = p, q, field.name
+
+        def power(a, e):
+            acc = field.one
+            while e:
+                if e & 1:
+                    acc = field.mul(acc, a)
+                a, e = field.mul(a, a), e >> 1
+            return acc
+
+        # the first element of index order with multiplicative order n
+        primes = _prime_factors(n)
+        g = next(a for a in map(field.from_index, range(1, q))
+                 if all(power(a, n // r) != field.one for r in primes))
+        # times g as a linear map: the low h digits and the high k - h digits
+        # of an index go through one table each, and the two images add
+        h = k // 2
+        add = operator.xor if p == 2 else self._digit_add
+
+        def images(lo, hi):
+            out = [0]
+            for i in range(lo, hi):
+                step, row = field.index(field.mul(field.from_index(p**i), g)), [0]
+                for _ in range(p - 1):
+                    row.append(add(row[-1], step))
+                out = [add(a, t) for t in row for a in out]
+            return out
+
+        low, high = images(0, h), images(h, k)
+        split = p**h
+        exp = array("i", [1]) * (2 * n)
+        u = 1
+        for i in range(1, n):
+            hi, lo = divmod(u, split)
+            u = exp[i] = add(low[lo], high[hi])
+        exp[n:] = exp[:n]
+        log = array("i", [0]) * q
+        for i, u in enumerate(exp[:n]):
+            log[u] = i
+        # 1 + g^d changes digit 0 of g^d only
+        zech = array("i", (log[u + 1 - p] if u % p == p - 1 else log[u + 1] for u in exp[:n]))
+        minus_one = log[p - 1]  # n // 2 for odd p, 0 for p = 2
+        zech[minus_one] = -1
+        self.exp, self.log, self.zech = exp, log, zech
+        self.zsub = zech[minus_one:] + zech[:minus_one]
+        self.minus_one = minus_one
+
+    def _digit_add(self, a, b):
+        """The index of from_index(a) + from_index(b), digit by digit."""
+        p = self.p
+        out, unit = 0, 1
+        while a or b:
+            a, x = divmod(a, p)
+            b, y = divmod(b, p)
+            out += (x + y) % p * unit
+            unit *= p
+        return out
+
+    def mul(self, x, y):
+        return self.exp[self.log[x] + self.log[y]] if x and y else 0
+
+    def inv(self, x):
+        if not x:
+            raise DivisionByZero(f"1/0 in {self.name}")
+        return self.exp[self.order - 1 - self.log[x]]
+
+    def neg(self, x):
+        return self.exp[self.log[x] + self.minus_one] if x else 0
+
+    def add(self, x, y):
+        if not (x and y):
+            return x or y
+        i = self.log[x]
+        z = self.zech[self.log[y] - i]
+        return self.exp[i + z] if z >= 0 else 0
+
+    def sub(self, x, y):
+        if not y:
+            return x
+        if not x:
+            return self.exp[self.log[y] + self.minus_one]
+        i = self.log[x]
+        z = self.zsub[self.log[y] - i]
+        return self.exp[i + z] if z >= 0 else 0
+
+    def __repr__(self):
+        return f"TableField({self.name})"
+
+
+_tables = functools.cache(TableField)  # keyed on (p, k, poly) through ExtField.__eq__
 
 
 def ff_extend(p: int, k: int) -> ExtField:

@@ -5,7 +5,8 @@ Kernels go through one sparse engine, ``kernel_vectors``, which takes one
 ``rref``, ``rank`` and ``determinant`` work on small dense matrices, lists of
 row lists.  Everything runs through the ring descriptor protocol.  Q and Z
 kernels run mod a prime first and are checked exactly; integer kernels are
-cleared to primitive vectors.
+cleared to primitive vectors.  F_q kernels run on element indices, with
+the field's log/Zech tables, below the size cap of ``ExtField.index_field``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from fractions import Fraction
 from itertools import islice
 from math import gcd, lcm
 
-from .coeff import QQ, Integers, PrimeField, Rationals
+from .coeff import QQ, ExtField, Integers, PrimeField, Rationals
 
 MODULUS = (1 << 61) - 1  # Q and Z kernels run mod this prime first
 _MODULAR = PrimeField(MODULUS)
@@ -92,7 +93,20 @@ def kernel_vectors(columns, ring):
     passes the exact check is the one exact elimination yields, and exact
     elimination takes over at the first failure.  Over Z each vector is
     cleared to a primitive integer vector with positive leading entry.
+
+    Over an ``ExtField`` of order up to the cap the engine runs on the
+    element indices of ``from_index``, through ``index_field()``: its
+    log/Zech ``TableField``, or ``PrimeField(p)`` when k = 1.  That
+    arithmetic is exact, so the vectors are the ones the polynomial
+    arithmetic gives; they are decoded back to coefficient tuples.
     """
+    if isinstance(ring, ExtField) and (field := ring.index_field()) is not None:
+        code = {a: ring.index(a) for a in {a for col in columns for a in col.values()}}
+        indexed = [{r: code[a] for r, a in col.items()} for col in columns]
+        zero, decode = ring.zero, ring.from_index
+        for u in _kernel_engine(indexed, field):
+            yield [decode(x) if x else zero for x in u]
+        return
     if not isinstance(ring, (Rationals, Integers)):
         yield from _kernel_engine(columns, ring)
         return

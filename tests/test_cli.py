@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -89,6 +91,43 @@ def test_prime_past_primality_bound_is_bad_input(tmp_path, capsys):
     obj["coeff"] = {"ring": "Fp", "p": 2**89 - 1}
     assert main(["solve", "--in", write(tmp_path, "sys.json", obj)]) == 1
     assert "bad input" in capsys.readouterr().err
+
+
+def field_system(coeff, entry):
+    return {"group": {"family": "abelian", "rank": 1}, "coeff": coeff, "m": 1, "n": 2,
+            "a": [[[[[0], entry], [[1], [1]]], [[[0], [1]]]]]}
+
+
+F9 = {"ring": "Fq", "p": 3, "k": 2}
+
+
+@pytest.mark.parametrize("coeff, entry", [
+    (F9, [1, 0, 1]),  # 1 + x^2 is not reduced: the solution would fail substitution
+    ({"ring": "Fq", "p": 2, "k": 7}, [0] * 7 + [1]),  # index 128, past F_128's tables
+    (F9, [1.5, 0]),
+    (F9, [True, 0]),
+    (F9, ["1", 0]),
+    (F9, 1),
+    ({"ring": "Fp", "p": 5}, [1, 2]),
+    ({"ring": "Fp", "p": 5}, [2.5]),
+    ({"ring": "Fp", "p": 5}, "2"),
+], ids=["fq-long", "fq-past-tables", "fq-float", "fq-bool", "fq-str", "fq-scalar",
+        "fp-long", "fp-float", "fp-str"])
+def test_bad_field_coefficients_are_bad_input(tmp_path, capsys, coeff, entry):
+    infile = write(tmp_path, "sys.json", field_system(coeff, entry))
+    assert main(["solve", "--in", infile]) == 1
+    assert "bad input" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("coeff, entry", [(F9, [2]), (F9, [-1, 4]), ({"ring": "Fp", "p": 5}, 7)],
+                         ids=["fq-short", "fq-unreduced", "fp-scalar"])
+def test_short_or_unreduced_field_coefficients_solve(tmp_path, coeff, entry):
+    infile = write(tmp_path, "sys.json", field_system(coeff, entry))
+    out = str(tmp_path / "sol.json")
+    assert main(["solve", "--in", infile, "--out", out]) == 0
+    sys = system_from_json(field_system(coeff, entry))
+    xs = tuple(sys.ring.elem_from_json(x) for x in json.loads(open(out).read())["solution"])
+    assert verify_solution(sys, xs)
 
 
 def test_coeff_roundtrip():
@@ -299,3 +338,43 @@ def test_outputs_byte_identical(tmp_path):
     assert main(args + ["--out", t1]) == 0
     assert main(args + ["--out", t2]) == 0
     assert open(t1, "rb").read() == open(t2, "rb").read()
+
+
+# --- the README's CLI examples -----------------------------------------------
+
+
+def readme_examples():
+    """The README's `gradedsrc` lines by command, and its JSON inputs by command."""
+    cli = (Path(__file__).resolve().parents[1] / "README.md").read_text().split("## CLI")[1]
+    sh = cli.split("```sh")[1].split("```")[0]
+    lines = {ln.split()[1]: ln.split()[1:] for ln in sh.splitlines() if ln.startswith("gradedsrc ")}
+    inputs = {}
+    for block in re.split(r"^// ", cli.split("```jsonc")[1].split("```")[0], flags=re.M)[1:]:
+        head, _, body = block.partition("\n")
+        inputs[head.split(":")[0]] = json.loads(re.sub(r"//.*", "", body))
+    return lines, inputs
+
+
+README_LINES, README_INPUTS = readme_examples()
+
+# the top-level keys of each command's output, as the README lists them
+README_KEYS = {
+    "folner": {"group", "f", "sizes", "ratio_bound", "provenance"},
+    "theta": {"set_system", "alpha", "alpha_verified", "alpha_families", "theta", "provenance"},
+    "graded-verify": {"fixture", "grade", "strongly_graded_witness_found", "witness", "reason",
+                      "provenance"},
+    "embed-cert": {"coeff", "radius", "columns", "rank", "kernel_dimension",
+                   "injective_up_to_radius", "provenance"},
+    "ideal": {"group", "membership", "distinguish", "provenance"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(README_KEYS))
+def test_readme_example_runs(tmp_path, command):
+    argv = list(README_LINES[command])
+    if "--in" in argv:
+        at = argv.index("--in") + 1
+        argv[at] = write(tmp_path, argv[at], README_INPUTS[command])
+    out = str(tmp_path / "out.json")
+    assert main(argv + ["--out", out]) == 0
+    assert set(json.loads(open(out).read())) == README_KEYS[command]

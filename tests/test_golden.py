@@ -109,6 +109,14 @@ CLI = {
     "embed-cert --coeff Z --radius 4": (
         "77162fb3c58f7ea42f5c0dc29d30e64cfc75947ffd100f26edd6484adc00b932"
     ),
+    # recorded with polynomial F_q arithmetic, before the log/Zech table front:
+    # odd characteristic, where -1 != 1, and 1610 columns with 5 kernel vectors
+    "theta --field 3 --radius 2 --seed 2": (
+        "f77aa183939359aff33656e31144271a3d6f1b7ec82e19dfb759e0a72370ca3a"
+    ),
+    "theta --radius 4 --seed 1": (
+        "224f08cabeb2feb929792c002e2cc8f7511dedcd32378b26cf4868ad7de7dd54"
+    ),
 }
 
 
@@ -170,8 +178,20 @@ SOLVE_Z_Z2 = {
     ],
 }
 
+# a 2 x 3 system over F_9[Z], F_9 = F_3[x]/(x^2 + 1)
+SOLVE_FQ9 = {
+    "group": {"family": "abelian", "rank": 1},
+    "coeff": {"ring": "Fq", "p": 3, "k": 2},
+    "m": 2,
+    "n": 3,
+    "a": [
+        [[[[0], [1, 2]], [[1], [2, 0]]], [[[1], [0, 1]]], [[[0], [2, 2]], [[2], [1, 1]]]],
+        [[[[1], [1, 1]]], [[[0], [2, 1]], [[-1], [0, 2]]], [[[0], [1, 0]]]],
+    ],
+}
+
 INPUT_FILES = {
-    "solve": {"s5": SOLVE_S5, "s4": SOLVE_S4, "z_z2": SOLVE_Z_Z2},
+    "solve": {"s5": SOLVE_S5, "s4": SOLVE_S4, "z_z2": SOLVE_Z_Z2, "fq9": SOLVE_FQ9},
     "folner": {"d3": FOLNER_D3},
 }
 
@@ -192,6 +212,11 @@ FINITE_GROUPS = {
 # recorded with exact elimination alone, before the mod-p pass over Q and Z
 INTEGER_SOLVE = {
     "solve z_z2": "1bd110573c534c7cb624444295b78ef41533434fcd123a332b94966b77245602",
+}
+
+# recorded with polynomial F_q arithmetic, before the log/Zech table front
+FIELD_SOLVE = {
+    "solve fq9": "fd12f7e4d1584c553d020d9b9f442909617dbd745caad3820841613b394df4e4",
 }
 
 
@@ -229,12 +254,21 @@ def test_finite_group_outputs(tmp_path, case):
         assert digest(json.load(fh)) == FINITE_GROUPS[case]
 
 
-@pytest.mark.parametrize("case", sorted(INTEGER_SOLVE))
-def test_integer_solve_outputs(tmp_path, case):
+def run_input_file(tmp_path, case):
     command, name = case.split()
     infile = tmp_path / "in.json"
     infile.write_text(json.dumps(INPUT_FILES[command][name]))
     out = str(tmp_path / "out.json")
     assert main([command, "--in", str(infile), "--out", out]) == 0
     with open(out) as fh:
-        assert digest(json.load(fh)) == INTEGER_SOLVE[case]
+        return digest(json.load(fh))
+
+
+@pytest.mark.parametrize("case", sorted(INTEGER_SOLVE))
+def test_integer_solve_outputs(tmp_path, case):
+    assert run_input_file(tmp_path, case) == INTEGER_SOLVE[case]
+
+
+@pytest.mark.parametrize("case", sorted(FIELD_SOLVE))
+def test_field_solve_outputs(tmp_path, case):
+    assert run_input_file(tmp_path, case) == FIELD_SOLVE[case]

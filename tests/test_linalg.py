@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gradedsrc import linalg
-from gradedsrc.coeff import QQ, ZZ, PrimeField, ff_extend
+from gradedsrc import coeff, linalg
+from gradedsrc.coeff import QQ, ZZ, ExtField, PrimeField, ff_extend
+from gradedsrc.errors import DivisionByZero
 from gradedsrc.linalg import (
     clear_denominators,
     determinant,
@@ -234,3 +235,95 @@ def test_denominator_divisible_by_p_falls_back(engine_rings):
     matrix = [[Fraction(1, P), Fraction(1)]]
     assert kernel_basis(matrix, QQ) == [[Fraction(-P), Fraction(1)]]
     assert engine_rings == [QQ]
+
+
+# --- F_q kernels on log/Zech tables ------------------------------------------
+
+
+def assert_table_ops_agree(F, a, b):
+    """The index-field ops on indices a, b decode to the polynomial ops."""
+    T, x, y = F.index_field(), F.from_index(a), F.from_index(b)
+    for op in ("add", "sub", "mul"):
+        assert F.from_index(getattr(T, op)(a, b)) == getattr(F, op)(x, y), (F, op, a, b)
+    assert F.from_index(T.neg(a)) == F.neg(x)
+    assert T.is_zero(a) == F.is_zero(x)
+    if a:
+        assert F.from_index(T.inv(a)) == F.inv(x)
+    else:
+        with pytest.raises(DivisionByZero):
+            T.inv(a)
+
+
+# every field of order at most 27, as ff_extend builds it
+SMALL_FIELDS = [ff_extend(p, k) for p, k in
+                [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (2, 3), (2, 4), (5, 2), (3, 3)]]
+
+
+@pytest.mark.parametrize("F", SMALL_FIELDS, ids=repr)
+def test_table_ops_equal_polynomial_ops_on_all_pairs(F):
+    for a in range(F.order):
+        assert F.index(F.from_index(a)) == a
+        for b in range(F.order):
+            assert_table_ops_agree(F, a, b)
+
+
+SAMPLED_FIELDS = {"F2^7": ff_extend(2, 7), "F3^5": ff_extend(3, 5)}
+
+
+@given(st.sampled_from(sorted(SAMPLED_FIELDS)).flatmap(lambda name: st.tuples(
+    st.just(SAMPLED_FIELDS[name]),
+    st.integers(0, SAMPLED_FIELDS[name].order - 1),
+    st.integers(0, SAMPLED_FIELDS[name].order - 1),
+)))
+def test_table_ops_equal_polynomial_ops_sampled(case):
+    assert_table_ops_agree(*case)
+
+
+KERNEL_FIELDS = {F.name: F for F in (ff_extend(2, 2), ff_extend(2, 3), ff_extend(3, 2),
+                                     ff_extend(5, 2), ff_extend(2, 7), ff_extend(7, 1))}
+
+
+@st.composite
+def field_columns(draw):
+    """Sparse columns over a table field, some of them sums of multiples of
+    earlier ones, so that kernels are not empty and entries cancel."""
+    F = KERNEL_FIELDS[draw(st.sampled_from(sorted(KERNEL_FIELDS)))]
+    nrows = draw(st.integers(1, 6))
+    scalar = st.integers(1, F.order - 1).map(F.from_index)
+    entry = st.one_of(st.just(None), scalar)
+    columns = []
+    for _ in range(draw(st.integers(1, 8))):
+        if columns and draw(st.booleans()):
+            col = {}
+            for src in draw(st.lists(st.sampled_from(columns), min_size=1, max_size=3)):
+                f = draw(scalar)
+                for r, a in src.items():
+                    col[r] = F.add(col.get(r, F.zero), F.mul(f, a))
+        else:
+            col = {r: a for r in range(nrows) if (a := draw(entry)) is not None}
+        columns.append(col)
+    return F, columns
+
+
+@given(field_columns())
+def test_kernel_vectors_over_fq_equal_the_polynomial_engine(case):
+    F, columns = case
+    assert isinstance(F.index_field(), coeff.TableField if F.k > 1 else PrimeField)
+    vectors = list(kernel_vectors(columns, F))
+    assert vectors == list(linalg._kernel_engine(columns, F))
+    assert all(type(x) is tuple and len(x) == F.k for v in vectors for x in v)
+
+
+def test_field_above_the_cap_skips_the_tables(monkeypatch):
+    built = []
+    monkeypatch.setattr(coeff, "_tables", built.append)  # and index_field() gives None
+    big = ExtField(2, 21, (1, 0, 1) + (0,) * 18 + (1,))  # x^21 + x^2 + 1
+    assert big.order > coeff.TABLE_ORDER_CAP
+    one, x = big.one, big.gen()
+    # column 1 is x times column 0
+    columns = [{0: one, 1: x}, {0: x, 1: big.mul(x, x)}, {1: big.add(one, x)}]
+    assert list(kernel_vectors(columns, big)) == [[x, one, big.zero]]
+    assert built == []
+    small = ff_extend(2, 3)
+    assert kernel_basis([[small.one, small.one]], small) == [[small.one, small.one]]
+    assert built == [small]
