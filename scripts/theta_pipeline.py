@@ -11,6 +11,7 @@ import argparse
 from gradedsrc.bartholdi import (
     build_theta,
     construct_alphas,
+    letter_b,
     search_set_system,
     theta_certify,
     verify_alphas,
@@ -40,9 +41,7 @@ def main():
     print(f"alpha verification: support_ok={rep.row_support_ok}, "
           f"{sum(f['ok'] for f in rep.families)}/{len(rep.families)} families full rank")
 
-    b_pool = [(1,), (-1,), (2,), (-2,)]
-    b = {s: b_pool[i % len(b_pool)] for i, s in enumerate(system.labels)}
-    theta = build_theta(fam, b, FreeGroup(2))
+    theta = build_theta(fam, letter_b(system.labels), FreeGroup(2))
     for radius in range(args.max_radius + 1):
         cert = theta_certify(theta, radius)
         print(f"radius {radius}: {cert.ncols} columns, rank {cert.rank}, "

@@ -1,6 +1,8 @@
 """The nonamenability-side construction: set systems found by search, the
 point-finding induction over finite fields, random-but-verified alpha matrix
-families, and the map Theta with its truncated injectivity certificate.
+families, and the map Theta.  Theta is a |Y| x |Y| matrix over L[F_2], so
+it is applied by ``srcsolve.apply_matrix`` and certified injective up to a
+radius by the shared ``srcsolve.truncated_kernel``.
 """
 
 from __future__ import annotations
@@ -13,9 +15,8 @@ from dataclasses import dataclass, field
 from .coeff import ExtField, ff_extend
 from .errors import ConstantPolynomial, RetryExhausted, SetSystemNotFound
 from .gring import GRElement, GroupRing
-from .groups import FreeGroup, ball
-from .linalg import determinant, kernel_vectors, rank
-from .srcsolve import truncated_kernel
+from .linalg import determinant, rank
+from .srcsolve import apply_matrix, truncated_kernel
 
 
 def _log(x: float, base) -> float:
@@ -322,14 +323,35 @@ def verify_alphas(fam: AlphaFamily, sys: SetSystem) -> AlphaReport:
 
 @dataclass
 class ThetaMap:
+    """Theta: L[F_2]^|Y| -> L[F_2]^|Y| as a |Y| x |Y| ``matrix`` over L[F_2]
+    whose entry (y, y') is sum_s A_s[y][y'] * b_s."""
+
     alphas: AlphaFamily
     b: dict  # label -> group element, pairwise distinct
     ring: GroupRing
+    matrix: list = field(init=False, repr=False)
 
     def __post_init__(self):
         vals = list(self.b.values())
         if len(set(vals)) != len(vals):
             raise ValueError("the b_s must be pairwise distinct")
+        L, A, sys = self.alphas.field, self.alphas.matrices, self.alphas.set_system
+        # the b_s are distinct, so each entry's terms are the nonzero A_s[y][y']
+        self.matrix = [
+            [
+                GRElement(self.ring, {self.b[s]: A[s][y][yp] for s in sys.labels
+                                      if not L.is_zero(A[s][y][yp])})
+                for yp in range(sys.size)
+            ]
+            for y in range(sys.size)
+        ]
+
+
+def letter_b(labels) -> dict:
+    """The b_s the CLI uses: the letters a, A, b, B of F_2 in label order,
+    repeating from the fifth label on (which ``ThetaMap`` rejects)."""
+    pool = [(1,), (-1,), (2,), (-2,)]
+    return {s: pool[i % len(pool)] for i, s in enumerate(labels)}
 
 
 def build_theta(fam: AlphaFamily, b: dict, group) -> ThetaMap:
@@ -338,23 +360,7 @@ def build_theta(fam: AlphaFamily, b: dict, group) -> ThetaMap:
 
 def theta_apply(theta: ThetaMap, u):
     """u is a |Y|-vector of group-ring elements over L; returns Theta(u)."""
-    sys = theta.alphas.set_system
-    L = theta.alphas.field
-    R = theta.ring
-    m = sys.size
-    out = [R.zero() for _ in range(m)]
-    for s in sys.labels:
-        A = theta.alphas.matrices[s]
-        shift = R.delta(theta.b[s])
-        for yp in range(m):
-            if u[yp].is_zero():
-                continue
-            moved = shift * u[yp]
-            for y in range(m):
-                c = A[y][yp]
-                if not L.is_zero(c):
-                    out[y] = out[y] + moved.scale(c)
-    return out
+    return apply_matrix(theta.matrix, u)
 
 
 @dataclass
@@ -371,47 +377,24 @@ class ThetaReport:
 
 
 def theta_certify(theta: ThetaMap, radius: int) -> ThetaReport:
-    """Exact kernel of Theta restricted to inputs supported in ball(radius).
+    """Exact kernel of Theta restricted to inputs supported in ball(radius),
+    the truncated kernel of its matrix.
 
     A nonempty kernel is returned as a witness and re-checked through
     theta_apply before reporting."""
-    sys = theta.alphas.set_system
-    L = theta.alphas.field
-    G = theta.ring.group
-    m = sys.size
-    D = ball(G, radius)
-    cols = [(yp, g) for yp in range(m) for g in D]
-    # image of each basis vector, keyed by (output index, group element);
-    # the b_s are distinct, so no two terms share a key
-    columns = []
-    for yp, g in cols:
-        col = {}
-        for s in sys.labels:
-            h = G.mul(theta.b[s], g)
-            for y, row in enumerate(theta.alphas.matrices[s]):
-                col[(y, h)] = row[yp]
-        columns.append(col)
-    basis = list(kernel_vectors(columns, L))
-    y0 = sys.missing_point()
-    missing_zero = all(
-        all(L.is_zero(v) for v in fam_rows[y0 - 1])
-        for fam_rows in theta.alphas.matrices.values()
-    )
+    rep = truncated_kernel(theta.matrix, radius)
+    y0 = theta.alphas.set_system.missing_point()
     witness = None
-    if basis:
-        v = basis[0]
-        witness = []
-        for yp in range(m):
-            chunk = v[yp * len(D) : (yp + 1) * len(D)]
-            witness.append(theta.ring.from_terms(zip(D, chunk)))
+    if rep.basis:
+        witness = list(rep.basis[0])
         image = theta_apply(theta, witness)
         assert all(x.is_zero() for x in image), "kernel witness failed re-application"
     return ThetaReport(
         radius=radius,
-        ncols=len(cols),
-        rank=len(cols) - len(basis),
-        injective=not basis,
-        missing_row_zero=missing_zero,
+        ncols=rep.ncols,
+        rank=rep.rank,
+        injective=not rep.basis,
+        missing_row_zero=all(x.is_zero() for x in theta.matrix[y0 - 1]),
         witness=witness,
     )
 
@@ -420,19 +403,22 @@ def theta_certify(theta: ThetaMap, radius: int) -> ThetaReport:
 # footnote embedding and flat scalar extension
 
 
+def _footnote_row(ring: GroupRing) -> list:
+    """[a-1, b-1] over a group ring whose group has free generators a, b as
+    its first two standard generators."""
+    a, b = ring.group.generators()[:2]
+    return [ring.delta(a) - ring.one(), ring.delta(b) - ring.one()]
+
+
 def footnote_embedding(x1: GRElement, x2: GRElement) -> GRElement:
-    """(a-1) x1 + (b-1) x2 over a group ring whose group has free generators
-    a, b as its first two standard generators."""
-    R = x1.ring
-    a, b = R.group.generators()[:2]
-    return (R.delta(a) - R.one()) * x1 + (R.delta(b) - R.one()) * x2
+    """(a-1) x1 + (b-1) x2."""
+    (y,) = apply_matrix([_footnote_row(x1.ring)], [x1, x2])
+    return y
 
 
 def footnote_kernel(ring: GroupRing, radius: int):
     """Truncated-kernel certifier for the footnote embedding."""
-    a, b = ring.group.generators()[:2]
-    row = [ring.delta(a) - ring.one(), ring.delta(b) - ring.one()]
-    return truncated_kernel([row], radius)
+    return truncated_kernel([_footnote_row(ring)], radius)
 
 
 def extend_scalars(matrix, ring: GroupRing):

@@ -19,6 +19,7 @@ from .bartholdi import (
     build_theta,
     construct_alphas,
     footnote_kernel,
+    letter_b,
     search_set_system,
     theta_certify,
     verify_alphas,
@@ -84,8 +85,7 @@ def cmd_theta(args) -> int:
     verify = verify_alphas(fam, system)
     G = FreeGroup(2)
     labels = list(system.labels)
-    b_pool = [(1,), (-1,), (2,), (-2,)]
-    b = {s: b_pool[i % len(b_pool)] for i, s in enumerate(labels)}
+    b = letter_b(labels)
     theta = build_theta(fam, b, G)
     cert = theta_certify(theta, args.radius)
     report = {

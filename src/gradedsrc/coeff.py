@@ -12,7 +12,7 @@ import operator
 from array import array
 from fractions import Fraction
 
-from .errors import DivisionByZero, InexactDivision, MixedRings, NotPrime
+from .errors import DivisionByZero, InexactDivision, NotPrime
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -224,7 +224,9 @@ class Integers:
         return x
 
     def from_json(self, obj):
-        return int(obj)
+        if not _is_int(obj):
+            raise ValueError(f"{obj!r} is not an int")
+        return obj
 
     def __eq__(self, other):
         return type(other) is Integers
@@ -596,8 +598,9 @@ class QuadRing:
         return [x[0], x[1]]
 
     def from_json(self, obj):
-        a, b = obj
-        return (int(a), int(b))
+        if not isinstance(obj, list) or len(obj) != 2 or not all(map(_is_int, obj)):
+            raise ValueError(f"{obj!r} is not an array of two ints")
+        return tuple(obj)
 
     def __eq__(self, other):
         return type(other) is QuadRing
@@ -626,18 +629,3 @@ def ideal_membership_I(x) -> bool:
     """
     a, b = x
     return (a - b) % 3 == 0
-
-
-def field_ops(ring, xring, op: str, x, y=None):
-    """Uniform dispatch over ring operations; rejects mixed-ring operands."""
-    if ring != xring:
-        raise MixedRings(f"operands from {ring} and {xring}")
-    if op == "add":
-        return ring.add(x, y)
-    if op == "mul":
-        return ring.mul(x, y)
-    if op == "neg":
-        return ring.neg(x)
-    if op == "inv":
-        return ring.inv(x)
-    raise ValueError(f"unknown op {op!r}")

@@ -1,6 +1,10 @@
 """Underdetermined linear systems over group rings: Folner lifting, exact
 base-ring solving, assembly, verification, and truncated-kernel certificates.
 
+A grid of group-ring elements acts on a vector of them through
+``apply_matrix``; ``verify_solution`` substitutes through it, and
+``truncated_kernel`` certifies any such grid, Theta's included.
+
 Restricted to ordinary group rings, so every lifted entry is the bare
 coefficient (a_ij)_{g f^-1}; the homogeneous units used in the general graded
 argument are just the group elements themselves.
@@ -119,17 +123,17 @@ def assemble_solution(sys: LinearSystem, kv, F: FiniteSubset) -> SolutionVector:
     return SolutionVector(xs, verified=False)
 
 
+def apply_matrix(a, xs) -> list:
+    """(sum_j a_ij x_j)_i for a grid ``a`` of group-ring elements; ValueError
+    unless every row has one entry per x_j."""
+    zero = a[0][0].ring.zero()
+    return [sum((aij * x for aij, x in zip(row, xs, strict=True)), zero) for row in a]
+
+
 def verify_solution(sys: LinearSystem, xs) -> bool:
     if all(x.is_zero() for x in xs):
         return False
-    zero = sys.ring.zero()
-    for i in range(sys.m):
-        acc = zero
-        for j in range(sys.n):
-            acc = acc + sys.a[i][j] * xs[j]
-        if not acc.is_zero():
-            return False
-    return True
+    return all(y.is_zero() for y in apply_matrix(sys.a, xs))
 
 
 def solve_src(sys: LinearSystem, budget: int = 64) -> SolutionVector:
@@ -166,17 +170,19 @@ class TruncatedKernelReport:
 
 
 def truncated_kernel(a, radius: int) -> TruncatedKernelReport:
-    """Kernel of x |-> (sum_j a_ij x_j)_i restricted to x_j supported in
-    ball(radius).  An empty basis certifies injectivity up to the truncation."""
+    """Kernel of ``apply_matrix(a, .)`` restricted to x_j supported in
+    ball(radius).  An empty basis certifies injectivity up to the truncation.
+    Theta's certificate is this kernel for its matrix over L[F_2]."""
     m = len(a)
     n = len(a[0])
     ring = a[0][0].ring
     G = ring.group
     D = ball(G, radius)
     cols = [(j, f) for j in range(n) for f in D]
-    # image of each basis vector, keyed by (equation, group element)
+    # image a_ij * delta_f of each basis vector, keyed by (equation, group
+    # element): each term c*h of a_ij moves to h*f, and no two h collide
     columns = [
-        {(i, g): c for i in range(m) for g, c in (a[i][j] * ring.delta(f)).terms.items()}
+        {(i, G.mul(h, f)): c for i in range(m) for h, c in a[i][j].terms.items()}
         for j, f in cols
     ]
     basis = list(kernel_vectors(columns, ring.coeff))

@@ -130,6 +130,28 @@ def test_short_or_unreduced_field_coefficients_solve(tmp_path, coeff, entry):
     assert verify_solution(sys, xs)
 
 
+def test_non_int_z_coefficient_is_bad_input(tmp_path, capsys):
+    # int(2.7) would solve the truncated system (2 + t) x1 + x2 = 0
+    obj = {"group": {"family": "abelian", "rank": 1}, "coeff": {"ring": "Z"}, "m": 1, "n": 2,
+           "a": [[[[[0], 2.7], [[1], 1]], [[[0], 1]]]]}
+    infile = write(tmp_path, "sys.json", obj)
+    assert main(["solve", "--in", infile]) == 1
+    assert "bad input" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entry, code", [([2.7, 0], 1), ([2, 0], 0), (2, 1), ([1, 0, 0], 1)],
+                         ids=["float", "ints", "scalar", "long"])
+def test_zsqrt5_coefficients_must_be_two_ints(tmp_path, capsys, entry, code):
+    obj = {"group": {"family": "abelian", "rank": 1}, "coeff": {"ring": "Zsqrt-5"},
+           "r": [[[0], entry], [[2], [-2, 0]]], "h": [[2]]}
+    out = str(tmp_path / "ideal_out.json")
+    assert main(["ideal", "--in", write(tmp_path, "ideal.json", obj), "--out", out]) == code
+    if code:
+        assert "bad input" in capsys.readouterr().err
+    else:
+        assert json.loads(open(out).read())["membership"] is True
+
+
 def test_coeff_roundtrip():
     for R in (QQ, ZZ, PrimeField(7), ff_extend(2, 3)):
         assert coeff_from_json(coeff_to_json(R)) == R

@@ -8,16 +8,14 @@ from hypothesis import strategies as st
 from gradedsrc.coeff import (
     QQ,
     ZSQRT5,
-    ZZ,
     ExtField,
     PrimeField,
     ff_extend,
-    field_ops,
     ideal_membership_I,
     is_prime,
     quad_mul,
 )
-from gradedsrc.errors import DivisionByZero, InexactDivision, MixedRings, NotPrime
+from gradedsrc.errors import DivisionByZero, InexactDivision, NotPrime
 
 
 def test_prime_field_inverse():
@@ -90,11 +88,6 @@ def test_quad_divexact():
         ZSQRT5.divexact((1, 0), (2, 1))
     with pytest.raises(DivisionByZero):
         ZSQRT5.divexact((1, 0), (0, 0))
-
-
-def test_mixed_rings_rejected():
-    with pytest.raises(MixedRings):
-        field_ops(QQ, ZZ, "add", Fraction(1), 1)
 
 
 def test_division_by_zero():

@@ -4,13 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradedsrc.coeff import QQ, ZZ, PrimeField
+from gradedsrc.coeff import QQ, ZZ, PrimeField, ff_extend
 from gradedsrc.errors import FolnerNotFound
 from gradedsrc.gring import GroupRing, IntConstPolyRing
-from gradedsrc.groups import FiniteGroup, FiniteSubset, FreeAbelian, ball, box
+from gradedsrc.groups import FiniteGroup, FiniteSubset, FreeAbelian, FreeGroup, ball, box
 from gradedsrc.linalg import kernel_basis, rank
 from gradedsrc.srcsolve import (
     LinearSystem,
+    apply_matrix,
     assemble_solution,
     intconst_truncated_kernel,
     lift_system,
@@ -184,6 +185,62 @@ def test_truncated_kernel_monotone_in_radius(r):
     # injectivity at a larger radius implies injectivity at the smaller one
     if not rep_next.basis:
         assert not rep.basis
+
+
+F4 = ff_extend(2, 2)
+GRID_RINGS = {
+    "Q": (QQ, Fraction),
+    "Z": (ZZ, int),
+    "F4": (F4, lambda n: F4.from_index(n % 4)),
+}
+GRID_GROUPS = {"F2": FreeGroup(2), "S3": FiniteGroup.symmetric(3)}
+
+
+@st.composite
+def grids(draw):
+    """A small m x n grid over Q, Z or F_4 of F_2 or S_3 elements supported
+    in ball(1), and a radius up to 2."""
+    ring, elem = GRID_RINGS[draw(st.sampled_from(sorted(GRID_RINGS)))]
+    R = GroupRing(GRID_GROUPS[draw(st.sampled_from(sorted(GRID_GROUPS)))], ring)
+    support = list(ball(R.group, 1))
+    term = st.tuples(st.sampled_from(support), st.integers(-2, 3).map(elem))
+    entry = st.lists(term, max_size=3).map(R.from_terms)
+    m, n = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    a = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+    return a, draw(st.integers(0, 2))
+
+
+@given(grids())
+@settings(max_examples=60, deadline=None)
+def test_truncated_kernel_is_annihilated_and_counts(case):
+    a, radius = case
+    R = a[0][0].ring
+    rep = truncated_kernel(a, radius)
+    assert rep.rank + len(rep.basis) == rep.ncols == len(a[0]) * len(rep.domain)
+    for xs in rep.basis:
+        assert any(not x.is_zero() for x in xs)
+        assert all(set(x.terms) <= set(rep.domain) for x in xs)
+        assert all(y.is_zero() for y in apply_matrix(a, xs))
+    # the rank of the images of the basis vectors delta_f e_j, computed densely
+    images = []
+    for j in range(len(a[0])):
+        for f in rep.domain:
+            e = [R.delta(f) if k == j else R.zero() for k in range(len(a[0]))]
+            images.append(apply_matrix(a, e))
+    keys = list(dict.fromkeys((i, g) for im in images for i, y in enumerate(im) for g in y.terms))
+    field, lift = (QQ, Fraction) if R.coeff == ZZ else (R.coeff, lambda c: c)
+    dense = [[lift(im[i].component(g)) for im in images] for i, g in keys]
+    assert rep.rank == rank(dense, field, ncols=len(images))
+
+
+def test_apply_matrix_rejects_short_vectors(qz):
+    # (1-t, -(1+t)) kills the first two columns of (1+t, 1-t, 1); read with
+    # x_3 missing, it would pass as a solution
+    one, t = qz.one(), qz.delta((1,))
+    sys = LinearSystem(qz, 1, 3, ((one + t, one - t, one),))
+    assert not verify_solution(sys, (one - t, -(one + t), one))
+    with pytest.raises(ValueError):
+        verify_solution(sys, (one - t, -(one + t)))
 
 
 def test_intconst_truncated_kernel_example():
