@@ -10,7 +10,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
 
 from .coeff import ExtField, ff_extend
 from .errors import ConstantPolynomial, RetryExhausted, SetSystemNotFound
@@ -23,13 +22,18 @@ def _log(x: float, base) -> float:
     return math.log(x) if base == "e" else math.log(x, base)
 
 
-@dataclass(frozen=True)
 class SetSystem:
     """Finite Y = {1..size}, label set S, and subsets X_s of Y."""
 
-    size: int
-    labels: tuple
-    X: dict  # label -> frozenset of 1-based Y indices
+    def __init__(self, size: int, labels: tuple, X: dict):
+        self.size = size
+        self.labels = labels
+        self.X = X  # label -> frozenset of 1-based Y indices
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.size, self.labels, self.X) == (other.size, other.labels, other.X)
 
     def x_restricted(self, s, T) -> frozenset:
         """X_s minus the union of X_t over t in T other than s."""
@@ -195,12 +199,13 @@ def _find_point_rec(f: dict, nvars: int, b, K: ExtField):
 # alpha matrices
 
 
-@dataclass
 class AlphaFamily:
-    field: ExtField
-    set_system: SetSystem
-    matrices: dict  # label -> m x m list-of-rows over the field
-    provenance: dict = field(default_factory=dict)
+    def __init__(self, field: ExtField, set_system: SetSystem, matrices: dict,
+                 provenance: dict | None = None):
+        self.field = field
+        self.set_system = set_system
+        self.matrices = matrices  # label -> m x m list-of-rows over the field
+        self.provenance = {} if provenance is None else provenance
 
     def to_json(self):
         return {
@@ -283,11 +288,11 @@ def construct_alphas(sys: SetSystem, K: ExtField, seed: int, max_tries: int = 64
     raise RetryExhausted(f"no nonvanishing point in {max_tries} samples")
 
 
-@dataclass
 class AlphaReport:
-    row_support_ok: bool
-    families: list  # dicts with family, v, rank, ok
-    ok: bool
+    def __init__(self, row_support_ok: bool, families: list, ok: bool):
+        self.row_support_ok = row_support_ok
+        self.families = families  # dicts with family, v, rank, ok
+        self.ok = ok
 
 
 def verify_alphas(fam: AlphaFamily, sys: SetSystem) -> AlphaReport:
@@ -321,26 +326,23 @@ def verify_alphas(fam: AlphaFamily, sys: SetSystem) -> AlphaReport:
 # Theta
 
 
-@dataclass
 class ThetaMap:
     """Theta: L[F_2]^|Y| -> L[F_2]^|Y| as a |Y| x |Y| ``matrix`` over L[F_2]
     whose entry (y, y') is sum_s A_s[y][y'] * b_s."""
 
-    alphas: AlphaFamily
-    b: dict  # label -> group element, pairwise distinct
-    ring: GroupRing
-    matrix: list = field(init=False, repr=False)
-
-    def __post_init__(self):
-        vals = list(self.b.values())
+    def __init__(self, alphas: AlphaFamily, b: dict, ring: GroupRing):
+        self.alphas = alphas
+        self.b = b  # label -> group element, pairwise distinct
+        self.ring = ring
+        vals = list(b.values())
         if len(set(vals)) != len(vals):
             raise ValueError("the b_s must be pairwise distinct")
-        L, A, sys = self.alphas.field, self.alphas.matrices, self.alphas.set_system
+        L, A, sys = alphas.field, alphas.matrices, alphas.set_system
         # the b_s are distinct, so each entry's terms are the nonzero A_s[y][y']
         self.matrix = [
             [
-                GRElement(self.ring, {self.b[s]: A[s][y][yp] for s in sys.labels
-                                      if not L.is_zero(A[s][y][yp])})
+                GRElement(ring, {b[s]: A[s][y][yp] for s in sys.labels
+                                 if not L.is_zero(A[s][y][yp])})
                 for yp in range(sys.size)
             ]
             for y in range(sys.size)
@@ -363,14 +365,15 @@ def theta_apply(theta: ThetaMap, u):
     return apply_matrix(theta.matrix, u)
 
 
-@dataclass
 class ThetaReport:
-    radius: int
-    ncols: int
-    rank: int
-    injective: bool
-    missing_row_zero: bool
-    witness: list | None  # kernel vector as |Y| group-ring elements, if any
+    def __init__(self, radius: int, ncols: int, rank: int, injective: bool,
+                 missing_row_zero: bool, witness: list | None):
+        self.radius = radius
+        self.ncols = ncols
+        self.rank = rank
+        self.injective = injective
+        self.missing_row_zero = missing_row_zero
+        self.witness = witness  # kernel vector as |Y| group-ring elements, if any
 
     def verdict(self) -> str:
         return f"VerifiedInjectiveUpTo({self.radius})" if self.injective else "KernelWitness"

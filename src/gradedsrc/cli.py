@@ -1,6 +1,7 @@
 """Command-line entry point: JSON in, JSON out, reproducible seeds.
 
-Exit codes: 0 success, 1 malformed input, 2 Folner search exhausted,
+Exit codes: 0 success, 1 malformed input or a usage error (such as a
+missing required option or an unknown command), 2 Folner search exhausted,
 3 set-system search exhausted.
 """
 
@@ -274,7 +275,12 @@ _parser = functools.cache(build_parser)  # parse_args leaves the parser as it is
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:
+        if exc.code == 2:  # argparse's usage error; exit code 2 means Folner search exhausted
+            return 1
+        raise
     try:
         return args.fn(args)
     except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:

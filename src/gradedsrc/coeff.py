@@ -170,10 +170,15 @@ class Rationals:
         return f"{x.numerator}/{x.denominator}"
 
     def from_json(self, obj):
-        if isinstance(obj, str):
-            num, _, den = obj.partition("/")
-            return Fraction(int(num), int(den or 1))
-        return Fraction(obj)
+        if _is_int(obj):
+            return Fraction(obj)
+        if not isinstance(obj, str):
+            raise ValueError(f"{obj!r} is not an int or a \"num/den\" string")
+        num, sep, den = obj.partition("/")
+        den = int(den) if sep else 1
+        if den == 0:
+            raise ValueError(f"{obj!r} has a zero denominator")
+        return Fraction(int(num), den)
 
     def __eq__(self, other):
         return type(other) is Rationals

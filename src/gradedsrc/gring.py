@@ -8,8 +8,6 @@ polynomials over ZF_2 with integer constant term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import coeff as cf
 from .coeff import ZSQRT5, ideal_membership_I
 from .errors import InexactDivision, MixedRings
@@ -154,16 +152,22 @@ class GRElement:
 PHI_DIVISOR = (2, -1)  # 2 - sqrt(-5); I^2 is the principal ideal it generates
 
 
-@dataclass(frozen=True)
 class SignGradedElement:
     """(s, x) in S (+) I with s, x in Z[sqrt(-5)] and x in the ideal."""
 
-    s: tuple
-    x: tuple
+    def __init__(self, s: tuple, x: tuple):
+        self.s = s
+        self.x = x
+        if not ideal_membership_I(x):
+            raise InexactDivision(f"{x} lies outside the ideal (1+sqrt(-5), 3)")
 
-    def __post_init__(self):
-        if not ideal_membership_I(self.x):
-            raise InexactDivision(f"{self.x} lies outside the ideal (1+sqrt(-5), 3)")
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.s, self.x) == (other.s, other.x)
+
+    def __hash__(self):
+        return hash((self.s, self.x))
 
 
 SG_ONE = SignGradedElement((1, 0), (0, 0))
@@ -264,12 +268,12 @@ class IntConstPolyRing:
 # strong-grading witnesses and truncated non-zero-divisor checks
 
 
-@dataclass
 class WitnessReport:
-    ok: bool
-    grade: object
-    witness: list | None
-    reason: str
+    def __init__(self, ok: bool, grade, witness: list | None, reason: str):
+        self.ok = ok
+        self.grade = grade
+        self.witness = witness
+        self.reason = reason
 
 
 def strongly_graded_check(fixture, g) -> WitnessReport:

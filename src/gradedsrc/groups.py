@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter
@@ -312,12 +311,20 @@ class FiniteGroup:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class FiniteSubset:
     """Deduplicated subset of one group, kept in canonical sorted order."""
 
-    group: object
-    elements: tuple
+    def __init__(self, group, elements: tuple):
+        self.group = group
+        self.elements = elements
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.group, self.elements) == (other.group, other.elements)
+
+    def __hash__(self):
+        return hash((self.group, self.elements))
 
     @classmethod
     def of(cls, group, elements) -> "FiniteSubset":

@@ -8,17 +8,16 @@ separates membership.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .gring import GRElement, GroupRing
 from .groups import FiniteCosets, ball, cosets
 
 
-@dataclass
 class SubgroupHandle:
-    group: object
-    generators: tuple
-    classifier: object
+    def __init__(self, group, generators: tuple, classifier):
+        self.group = group
+        self.generators = generators
+        self.classifier = classifier
 
     @classmethod
     def create(cls, group, generators) -> "SubgroupHandle":
@@ -67,13 +66,14 @@ def random_ideal_element(ring: GroupRing, H: SubgroupHandle, rng: random.Random,
     return out
 
 
-@dataclass
 class DistinguishReport:
-    relation: str  # "equal", "H<=K", "K<=H", "incomparable"
-    samples_checked: int
-    witness: GRElement | None
-    witness_in: str | None  # which of the two ideals contains the witness
-    ok: bool
+    def __init__(self, relation: str, samples_checked: int, witness: GRElement | None,
+                 witness_in: str | None, ok: bool):
+        self.relation = relation  # "equal", "H<=K", "K<=H", "incomparable"
+        self.samples_checked = samples_checked
+        self.witness = witness
+        self.witness_in = witness_in  # which of the two ideals contains the witness
+        self.ok = ok
 
 
 def subgroup_leq(H: SubgroupHandle, K: SubgroupHandle) -> bool:

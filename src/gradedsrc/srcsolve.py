@@ -12,7 +12,6 @@ argument are just the group elements themselves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .coeff import ExtField, Integers, PrimeField, Rationals
@@ -31,23 +30,21 @@ from .groups import (
 from .linalg import kernel_basis, kernel_vectors  # noqa: F401
 
 
-@dataclass
 class LinearSystem:
     """m x n coefficient grid over one group ring, m < n."""
 
-    ring: GroupRing
-    m: int
-    n: int
-    a: tuple  # tuple of m tuples of n GRElements
-
-    def __post_init__(self):
-        if not (0 < self.m < self.n):
+    def __init__(self, ring: GroupRing, m: int, n: int, a: tuple):
+        self.ring = ring
+        self.m = m
+        self.n = n
+        self.a = a  # tuple of m tuples of n GRElements
+        if not (0 < m < n):
             raise ValueError("need 0 < m < n")
-        if len(self.a) != self.m or any(len(row) != self.n for row in self.a):
+        if len(a) != m or any(len(row) != n for row in a):
             raise ValueError("coefficient grid shape mismatch")
-        for row in self.a:
+        for row in a:
             for x in row:
-                if x.ring != self.ring:
+                if x.ring != ring:
                     raise ValueError("coefficient from a different ring")
 
     def union_support(self) -> FiniteSubset:
@@ -58,17 +55,17 @@ class LinearSystem:
         return FiniteSubset.of(self.ring.group, els)
 
 
-@dataclass
 class LiftedSystem:
     """The base-ring system indexed by SF x {1..m} rows and {1..n} x F columns.
 
     ``columns`` holds one ``{row position: nonzero entry}`` dict per column,
     positions into ``row_index``."""
 
-    columns: list
-    row_index: list  # (g, i) pairs, g-major
-    col_index: list  # (j, f) pairs, f-major
-    base_ring: object
+    def __init__(self, columns: list, row_index: list, col_index: list, base_ring):
+        self.columns = columns
+        self.row_index = row_index  # (g, i) pairs, g-major
+        self.col_index = col_index  # (j, f) pairs, f-major
+        self.base_ring = base_ring
 
     @property
     def matrix(self) -> list:
@@ -80,10 +77,10 @@ class LiftedSystem:
         return rows
 
 
-@dataclass
 class SolutionVector:
-    xs: tuple  # n GRElements
-    verified: bool
+    def __init__(self, xs: tuple, verified: bool):
+        self.xs = xs  # n GRElements
+        self.verified = verified
 
 
 def lift_system(sys: LinearSystem, F: FiniteSubset, SF=None) -> LiftedSystem:
@@ -160,13 +157,13 @@ def solve_src(sys: LinearSystem, budget: int = 64) -> SolutionVector:
     return SolutionVector(sol.xs, verified=True)
 
 
-@dataclass
 class TruncatedKernelReport:
-    radius: int
-    domain: FiniteSubset
-    ncols: int
-    rank: int
-    basis: list  # list of n-tuples of GRElements
+    def __init__(self, radius: int, domain: FiniteSubset, ncols: int, rank: int, basis: list):
+        self.radius = radius
+        self.domain = domain
+        self.ncols = ncols
+        self.rank = rank
+        self.basis = basis  # list of n-tuples of GRElements
 
 
 def truncated_kernel(a, radius: int) -> TruncatedKernelReport:

@@ -7,7 +7,9 @@ from gradedsrc.errors import ConstantPolynomial, SetSystemNotFound
 from gradedsrc.gring import GroupRing
 from gradedsrc.groups import FreeAbelian, FreeGroup, ball
 from gradedsrc.bartholdi import (
+    AlphaFamily,
     SetSystem,
+    ThetaMap,
     admissible_families,
     build_theta,
     construct_alphas,
@@ -48,6 +50,14 @@ def test_x_restricted():
     assert sys.x_restricted(0, (0, 1)) == {1}
     assert sys.x_restricted(0, (0,)) == {1, 2}
     assert sys.x_restricted(0, ()) == {1, 2}
+
+
+def test_set_system_compares_by_value():
+    X = {0: frozenset({1, 2}), 1: frozenset({2, 3})}
+    sys = SetSystem(4, (0, 1), X)
+    assert sys == SetSystem(4, (0, 1), dict(X))
+    assert sys != SetSystem(5, (0, 1), X)
+    assert sys != SetSystem(4, (0, 1), {0: frozenset({1}), 1: frozenset({2, 3})})
 
 
 def test_search_finds_size_10(system10):
@@ -143,8 +153,6 @@ def test_construct_and_verify_roundtrip(system10, alphas10):
 
 def test_zero_matrices_fail_every_family(system10, alphas10):
     L = alphas10.field
-    from gradedsrc.bartholdi import AlphaFamily
-
     zero = AlphaFamily(
         L, system10, {s: [[L.zero] * 10 for _ in range(10)] for s in system10.labels}
     )
@@ -154,8 +162,6 @@ def test_zero_matrices_fail_every_family(system10, alphas10):
 
 
 def test_perturbation_breaks_dependent_families(system10, alphas10):
-    from gradedsrc.bartholdi import AlphaFamily
-
     L = alphas10.field
     matrices = {s: [row[:] for row in alphas10.matrices[s]] for s in system10.labels}
     for s in system10.labels:  # kill one shared column: every stack loses rank
@@ -166,7 +172,19 @@ def test_perturbation_breaks_dependent_families(system10, alphas10):
     assert all(not f["ok"] for f in rep.families)
 
 
+def test_alpha_families_get_their_own_provenance(system10, alphas10):
+    first = AlphaFamily(alphas10.field, system10, alphas10.matrices)
+    second = AlphaFamily(alphas10.field, system10, alphas10.matrices)
+    first.provenance["seed"] = 1
+    assert first.provenance == {"seed": 1} and second.provenance == {}
+
+
 # --- Theta -------------------------------------------------------------------
+
+
+def test_theta_rejects_repeated_b(alphas10):
+    with pytest.raises(ValueError, match="pairwise distinct"):
+        ThetaMap(alphas10, {0: (1,), 1: (1,)}, GroupRing(F2, alphas10.field))
 
 
 def test_theta_zero_input(theta10):

@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,6 +20,8 @@ from gradedsrc.serialize import (
     system_to_json,
 )
 from gradedsrc.srcsolve import LinearSystem, verify_solution
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def write(tmp_path, name, obj):
@@ -119,6 +124,15 @@ def test_bad_field_coefficients_are_bad_input(tmp_path, capsys, coeff, entry):
     assert "bad input" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("entry", [0.1, True, "1/0", "1/"],
+                         ids=["float", "bool", "zero-den", "empty-den"])
+def test_bad_rational_coefficients_are_bad_input(tmp_path, capsys, entry):
+    obj = {"group": {"family": "abelian", "rank": 1}, "coeff": {"ring": "Q"}, "m": 1, "n": 2,
+           "a": [[[[[0], entry], [[1], "1"]], [[[0], "1"], [[1], "-1"]]]]}
+    assert main(["solve", "--in", write(tmp_path, "sys.json", obj)]) == 1
+    assert "bad input" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("coeff, entry", [(F9, [2]), (F9, [-1, 4]), ({"ring": "Fp", "p": 5}, 7)],
                          ids=["fq-short", "fq-unreduced", "fp-scalar"])
 def test_short_or_unreduced_field_coefficients_solve(tmp_path, coeff, entry):
@@ -214,6 +228,35 @@ def test_parser_reused_without_leaking_options(tmp_path):
     assert main(["solve", "--in", infile, "--out", out]) == 0
     assert json.loads(open(out).read())["provenance"]["budget"] == 64
     assert cli._parser() is cli._parser()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve"], "gradedsrc solve: error: the following arguments are required: --in"),
+    (["bogus"], "gradedsrc: error: argument command: invalid choice: 'bogus'"),
+], ids=["missing-in", "unknown-command"])
+def test_usage_error_exits_1(capsys, argv, message):
+    # argparse's own code, 2, is the Folner-search-exhausted code here
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: gradedsrc") and message in err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--help"])
+    assert exc.value.code == 0
+    assert "--budget" in capsys.readouterr().out
+
+
+def test_import_loads_no_dataclasses_or_inspect():
+    code = ("import sys; before = set(sys.modules); import gradedsrc.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_solve_malformed_input(tmp_path):

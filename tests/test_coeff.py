@@ -146,6 +146,7 @@ def test_ideal_closed_under_addition_and_multiplication(x, y):
 
 def test_json_roundtrip():
     assert QQ.from_json(QQ.to_json(Fraction(-3, 7))) == Fraction(-3, 7)
+    assert QQ.from_json(3) == 3 and QQ.from_json("-6/4") == Fraction(-3, 2)
     F9 = ff_extend(3, 2)
     assert F9.from_json(F9.to_json((2, 1))) == (2, 1)
     assert ZSQRT5.from_json(ZSQRT5.to_json((4, -5))) == (4, -5)

@@ -17,7 +17,7 @@ from gradedsrc.gring import (
     sign_graded_mul,
     strongly_graded_check,
 )
-from gradedsrc.groups import FiniteGroup, product_set
+from gradedsrc.groups import FiniteGroup, FiniteSubset, FreeGroup, product_set
 
 
 def test_group_ring_expansion(zf2):
@@ -87,8 +87,20 @@ def test_sign_graded_worked_products():
 
 
 def test_sign_graded_rejects_non_ideal():
-    with pytest.raises(InexactDivision):
+    with pytest.raises(InexactDivision, match="outside the ideal"):
         SignGradedElement((0, 0), (1, 0))
+
+
+@pytest.mark.parametrize("make, other", [
+    (lambda: FiniteSubset.of(FreeGroup(2), [(1,), (), (1,)]),
+     FiniteSubset.of(FreeGroup(2), [(1,)])),
+    (lambda: SignGradedElement((2, -1), (4, 1)), SignGradedElement((2, -1), (1, 1))),
+], ids=["finite-subset", "sign-graded"])
+def test_value_objects_compare_and_hash_by_value(make, other):
+    u, v = make(), make()
+    assert u is not v and u == v and hash(u) == hash(v)
+    assert u != other
+    assert {u, v, other} == {v, other}
 
 
 quad_ideal = st.tuples(st.integers(-6, 6), st.integers(-6, 6)).map(

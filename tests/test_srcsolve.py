@@ -138,10 +138,15 @@ def test_solve_prime_field():
 
 
 def test_shape_validation(qz):
-    with pytest.raises(ValueError):
-        LinearSystem(qz, 2, 2, ((qz.one(), qz.one()), (qz.one(), qz.one())))
-    with pytest.raises(ValueError):
-        LinearSystem(qz, 1, 2, ((qz.one(),),))
+    one, z_one = qz.one(), GroupRing(Z, ZZ).one()
+    for m, n, a, message in [
+        (2, 2, ((one, one), (one, one)), "need 0 < m < n"),
+        (1, 2, ((one,),), "shape mismatch"),
+        (1, 2, ((one, one), (one, one)), "shape mismatch"),
+        (1, 2, ((one, z_one),), "different ring"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            LinearSystem(qz, m, n, a)
 
 
 # --- truncated kernels -------------------------------------------------------
