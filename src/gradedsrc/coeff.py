@@ -115,18 +115,41 @@ def _monic_polys(deg, p):
         yield tuple(cs) + (1,)
 
 
+def poly_gcd(a, b, p):
+    a, b = poly_trim(a), poly_trim(b)
+    while b:
+        a, b = b, poly_mod(a, b, p)
+    return a
+
+
 def poly_is_irreducible(f, p) -> bool:
+    """Rabin's test: f of degree k > 1 is irreducible over F_p iff f divides
+    x^(p^k) - x and gcd(x^(p^(k/q)) - x, f) = 1 for every prime q dividing k
+    (Rabin, "Probabilistic algorithms in finite fields", SIAM J. Comput.
+    9(2), 1980)."""
     f = poly_trim(f)
     deg = len(f) - 1
     if deg <= 0:
         return False
     if deg == 1:
         return True
-    for d in range(1, deg // 2 + 1):
-        for g in _monic_polys(d, p):
-            if not poly_mod(f, g, p):
-                return False
-    return True
+
+    def frobenius(g):  # g^p mod f, by the bits of p from the top
+        acc = g
+        for bit in bin(p)[3:]:
+            acc = poly_mod(poly_mul(acc, acc, p), f, p)
+            if bit == "1":
+                acc = poly_mod(poly_mul(acc, g, p), f, p)
+        return acc
+
+    x = (0, 1)
+    powers = [x]  # powers[j] = x^(p^j) mod f
+    for _ in range(deg):
+        powers.append(frobenius(powers[-1]))
+    if powers[deg] != x:
+        return False
+    return all(len(poly_gcd(poly_add(powers[deg // q], (0, p - 1), p), f, p)) == 1
+               for q in _prime_factors(deg))
 
 
 # ---------------------------------------------------------------------------

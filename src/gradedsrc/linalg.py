@@ -11,6 +11,7 @@ the field's log/Zech tables, below the size cap of ``ExtField.index_field``.
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import Counter
 from fractions import Fraction
 from itertools import islice
@@ -80,13 +81,15 @@ def kernel_vectors(columns, ring):
     """Kernel vectors of a sparse matrix, yielded lazily in free-column order.
 
     ``columns`` holds one ``{row: entry}`` dict per column; row keys may be
-    any hashable values.  Columns are reduced one at a time against the
-    pivot columns before them.  A column that reduces to zero is free, and
-    its kernel vector is rebuilt by back-substitution through the
-    multipliers that reduced it.  That vector has entry one at its free
-    column and is supported on that column and the pivot columns before it,
-    so it is the unique such kernel vector: the one reduced row echelon form
-    gives.  Vectors are dense lists of length ``len(columns)``.
+    any hashable values.  Columns are reduced one at a time, in pivot order,
+    by the earlier pivot columns whose pivot rows they hold or gain on the
+    way, found through an index of pivot rows, so the cost follows the
+    arithmetic done, not the number of pivots.  A column that reduces to
+    zero is free, and its kernel vector is rebuilt by back-substitution
+    through the multipliers that reduced it.  That vector has entry one at
+    its free column and is supported on that column and the pivot columns
+    before it, so it is the unique such kernel vector: the one reduced row
+    echelon form gives.  Vectors are dense lists of length ``len(columns)``.
 
     Over Q and Z the engine runs mod p = ``MODULUS`` first: columns
     independent mod p are independent over Q, so each lifted vector that
@@ -175,21 +178,37 @@ def _kernel_engine(columns, ring):
     # there and zero at every earlier pivot row, input column, inverse of the
     # normalising entry, {earlier pivot: multiplier} that reduced it)
     pivots = []
+    pivot_of = {}  # pivot row -> its index in pivots
     for c, col in enumerate(columns):
         for r in col:
             later[r] -= 1
         vec = dict(col)
         mults = {}
-        for k, (prow, pcol, _, _, _) in enumerate(pivots):
+        # The pivots met, in pivot order.  Reducing by pivot k only adds
+        # entries at rows of later pivots (pcol_k is zero at earlier ones),
+        # so each fill-in row that is a pivot row is queued, in order, after k.
+        queue = sorted(k for r in vec if (k := pivot_of.get(r)) is not None)
+        for k in queue:  # the loop also visits the pivots inserted below
+            prow, pcol = pivots[k][:2]
             f = vec.get(prow)
-            if f is not None:
-                mults[k] = f
-                axpy(vec, f, pcol)
+            if f is None:  # cancelled, or a duplicate queued after it
+                continue
+            mults[k] = f
+            for r, b in pcol.items():
+                a = vec.get(r)
+                s = sub(zero if a is None else a, mul(f, b))
+                if is_zero(s):
+                    vec.pop(r, None)
+                else:
+                    vec[r] = s
+                    if a is None and (j := pivot_of.get(r)) is not None:
+                        insort(queue, j)
         if vec:
             # a pivot row few later columns touch keeps later reductions short
             prow = min(vec, key=later.__getitem__)
             inv = ring.inv(vec[prow])
             pcol = {r: mul(inv, a) for r, a in vec.items()}
+            pivot_of[prow] = len(pivots)
             pivots.append((prow, pcol, c, inv, mults))
             continue
         # column c = sum_k mults[k] * pcol_k; expand each pcol_k, last first

@@ -8,7 +8,7 @@ quadratic integers as [a, b]; ring elements as sorted [group, coeff] pairs.
 
 from __future__ import annotations
 
-from .coeff import QQ, ZSQRT5, ZZ, ExtField, PrimeField, ff_extend
+from .coeff import QQ, ZSQRT5, ZZ, ExtField, PrimeField, _is_int, ff_extend
 from .gring import GroupRing
 from .groups import FiniteGroup, FreeAbelian, FreeGroup
 from .srcsolve import LinearSystem
@@ -88,7 +88,10 @@ def system_to_json(sys: LinearSystem) -> dict:
 def system_from_json(obj) -> LinearSystem:
     ring = GroupRing(group_from_json(obj["group"]), coeff_from_json(obj["coeff"]))
     a = tuple(tuple(ring.elem_from_json(x) for x in row) for row in obj["a"])
-    return LinearSystem(ring, int(obj["m"]), int(obj["n"]), a)
+    m, n = obj["m"], obj["n"]
+    if not (_is_int(m) and _is_int(n)):
+        raise ValueError(f"m and n must be ints, not {m!r} and {n!r}")
+    return LinearSystem(ring, m, n, a)
 
 
 def solution_to_json(ring: GroupRing, xs, verified: bool, provenance: dict) -> dict:

@@ -248,15 +248,70 @@ def test_help_exits_0(capsys):
     assert "--budget" in capsys.readouterr().out
 
 
+def run_python(code, *argv, timeout):
+    """``python -c code argv`` in a fresh interpreter that imports this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          env=env, timeout=timeout)
+
+
 def test_import_loads_no_dataclasses_or_inspect():
     code = ("import sys; before = set(sys.modules); import gradedsrc.cli; "
             "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=60)
+    proc = run_python(code, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("key, value", [("n", "2"), ("n", 2.7), ("m", True)],
+                         ids=["n-str", "n-float", "m-bool"])
+def test_non_int_system_shape_is_bad_input(tmp_path, capsys, key, value):
+    # int(...) would solve a different system: 1 x 2 for "2" and 2.7, and m = 1 for true
+    obj = one_pm_t_json()
+    obj[key] = value
+    assert main(["solve", "--in", write(tmp_path, "sys.json", obj)]) == 1
+    assert "bad input:" in capsys.readouterr().err
+
+
+def run_cli(argv, timeout, address_space=None):
+    """``gradedsrc argv`` in a fresh interpreter, optionally under an
+    address-space limit in bytes."""
+    code = "import resource, sys\n"
+    if address_space:
+        code += f"resource.setrlimit(resource.RLIMIT_AS, ({address_space}, {address_space}))\n"
+    code += "from gradedsrc.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+    return run_python(code, *argv, timeout=timeout)
+
+
+def test_solve_over_f_2_40_finishes(tmp_path):
+    # the modulus search divided by every monic polynomial up to degree 20
+    obj = field_system({"ring": "Fq", "p": 2, "k": 40}, [0, 1])
+    out = str(tmp_path / "sol.json")
+    proc = run_cli(["solve", "--in", write(tmp_path, "sys.json", obj), "--out", out], timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(open(out).read())["verified"] is True
+
+
+def test_symmetric_and_cyclic_orders_up_to_the_cap_build():
+    assert len(group_from_json({"family": "symmetric", "n": 6}).elements) == 720
+    assert len(group_from_json({"family": "cyclic", "n": 1000}).elements) == 1000
+
+
+@pytest.mark.parametrize("group", [
+    {"family": "symmetric", "n": 7},
+    {"family": "symmetric", "n": 9},
+    {"family": "cyclic", "n": 1001},
+    {"family": "cyclic", "n": 10**6},
+], ids=["s7", "s9", "c1001", "c1e6"])
+def test_finite_family_past_the_order_cap_is_bad_input(tmp_path, group):
+    # without the cap S_7 and C_1001 solve, and S_9 and C_10^6 fill order^2
+    # table entries until the address-space limit raises MemoryError
+    obj = {"group": group, "coeff": {"ring": "Q"}, "m": 1, "n": 2, "a": [[[], []]]}
+    proc = run_cli(["solve", "--in", write(tmp_path, "sys.json", obj)], timeout=60,
+                   address_space=1 << 29)
+    assert proc.returncode == 1
+    assert "bad input:" in proc.stderr and "more than 1000 elements" in proc.stderr
 
 
 def test_solve_malformed_input(tmp_path):

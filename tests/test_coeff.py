@@ -11,8 +11,12 @@ from gradedsrc.coeff import (
     ExtField,
     PrimeField,
     ff_extend,
+    _monic_polys,
     ideal_membership_I,
     is_prime,
+    poly_is_irreducible,
+    poly_mod,
+    poly_trim,
     quad_mul,
 )
 from gradedsrc.errors import DivisionByZero, InexactDivision, NotPrime
@@ -43,6 +47,27 @@ def test_ff_extend_descriptors():
 def test_ff_extend_rejects_composite():
     with pytest.raises(NotPrime):
         ff_extend(6, 2)
+
+
+def trial_division_is_irreducible(f, p):
+    """The reference: f of degree k > 1 is irreducible iff no monic
+    polynomial of degree 1..k/2 divides it."""
+    f = poly_trim(f)
+    deg = len(f) - 1
+    if deg <= 1:
+        return deg == 1
+    return all(poly_mod(f, g, p) for d in range(1, deg // 2 + 1) for g in _monic_polys(d, p))
+
+
+@pytest.mark.parametrize("p, max_degree", [(2, 8), (3, 5), (5, 4)])
+def test_irreducibility_agrees_with_trial_division(p, max_degree):
+    polys = [f for k in range(max_degree + 1) for f in _monic_polys(k, p)]
+    assert [f for f in polys if poly_is_irreducible(f, p) != trial_division_is_irreducible(f, p)] == []
+
+
+def test_ff_extend_large_degree_keeps_the_least_modulus():
+    # the modulus trial division picks, x^24 + x^4 + x^3 + x + 1
+    assert ff_extend(2, 24).poly == (1, 1, 0, 1, 1) + (0,) * 19 + (1,)
 
 
 def trial_division_is_prime(n):

@@ -117,6 +117,14 @@ CLI = {
     "theta --radius 4 --seed 1": (
         "224f08cabeb2feb929792c002e2cc8f7511dedcd32378b26cf4868ad7de7dd54"
     ),
+    # recorded before the engine indexed pivots by row, when every column was
+    # tested at every earlier pivot row
+    "theta --radius 5 --seed 0": (
+        "e62583467e44a36d63cb3801cc1633615d141e18ca010a766e36ebd0976dfd96"
+    ),
+    "embed-cert --coeff Z --radius 6": (
+        "5a4111785297c10b45f3f9872447683cb789d0cbaffbc91755319065ab734cd7"
+    ),
 }
 
 

@@ -99,6 +99,23 @@ def ring_matrices(draw):
     return ring, [[elem(a) for a in row] for row in rows], ncols
 
 
+def rref_vectors(matrix, ring, ncols):
+    """Reference kernel vectors from the dense reduced row echelon form over
+    the fraction field, one per free column; over Z cleared to primitive."""
+    field = QQ if ring == ZZ else ring
+    fmatrix = [[Fraction(a) for a in row] for row in matrix] if ring == ZZ else matrix
+    rows, pivots = rref(fmatrix, field, ncols)
+    assert len(pivots) == rank(fmatrix, field, ncols)
+    expected = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        w = [field.zero] * ncols
+        w[free] = field.one
+        for i, c in enumerate(pivots):
+            w[c] = field.neg(rows[i][free])
+        expected.append(clear_denominators(w) if ring == ZZ else w)
+    return expected
+
+
 @given(ring_matrices())
 def test_kernel_vectors_match_rref(case):
     ring, matrix, ncols = case
@@ -110,22 +127,67 @@ def test_kernel_vectors_match_rref(case):
             for a, x in zip(row, v):
                 acc = ring.add(acc, ring.mul(a, x))
             assert ring.is_zero(acc)
-    # reference vectors from the reduced row echelon form over the fraction field
-    field = QQ if ring == ZZ else ring
-    fmatrix = [[Fraction(a) for a in row] for row in matrix] if ring == ZZ else matrix
-    rows, pivots = rref(fmatrix, field, ncols)
-    assert len(vectors) == ncols - rank(fmatrix, field, ncols)
-    free_columns = [c for c in range(ncols) if c not in pivots]
-    expected = []
-    for free, v in zip(free_columns, vectors):
+        free = max(c for c, x in enumerate(v) if not ring.is_zero(x))
         assert v[free] == ring.one or (ring == ZZ and v[free] != 0)
-        assert all(ring.is_zero(x) for x in v[free + 1 :])
-        w = [field.zero] * ncols
-        w[free] = field.one
-        for i, c in enumerate(pivots):
-            w[c] = field.neg(rows[i][free])
-        expected.append(clear_denominators(w) if ring == ZZ else w)
-    assert vectors == expected
+    assert vectors == rref_vectors(matrix, ring, ncols)
+
+
+@st.composite
+def fill_in_columns(draw):
+    """Sparse columns in independent blocks on disjoint rows, interleaved in a
+    drawn order.  A block is a chain {r_i: *, r_i+1: *}, i < length, then
+    {r_0: *}, then sums of multiples of its earlier columns, whose entries
+    cancel.  Reducing {r_0: *} by the pivot at r_0 fills in r_1, the row of
+    the next pivot, and so on down the chain."""
+    ring, elem = ENGINE_RINGS[draw(st.sampled_from(["Q", "F5", "F8"]))]
+    nonzero = st.sampled_from([1, 2, 3, 4, 6, 7]).map(elem)
+    blocks = []
+    for b in range(draw(st.integers(1, 3))):
+        rows = [(b, i) for i in range(draw(st.integers(2, 5)))]
+        cols = [{r: draw(nonzero), s: draw(nonzero)} for r, s in zip(rows, rows[1:])]
+        cols.append({rows[0]: draw(nonzero)})
+        for _ in range(draw(st.integers(0, 3))):
+            col = {}
+            for src in draw(st.lists(st.sampled_from(cols), min_size=1, max_size=3)):
+                f = draw(nonzero)
+                for r, a in src.items():
+                    col[r] = ring.add(col.get(r, ring.zero), ring.mul(f, a))
+            cols.append(col)
+        blocks.append(cols)
+    columns = []
+    while any(blocks):
+        cols = draw(st.sampled_from([cols for cols in blocks if cols]))
+        columns.append(cols.pop(0))
+    return ring, columns
+
+
+@given(fill_in_columns())
+def test_kernel_vectors_match_rref_through_fill_in(case):
+    ring, columns = case
+    keys = sorted({r for col in columns for r in col})
+    matrix = [[col.get(r, ring.zero) for col in columns] for r in keys]
+    assert list(kernel_vectors(columns, ring)) == rref_vectors(matrix, ring, len(columns))
+
+
+class CountedKey:
+    """A row key that counts the hashes taken of it in a shared counter."""
+
+    def __init__(self, n, hashes):
+        self.n, self.hashes = n, hashes
+
+    def __hash__(self):
+        self.hashes[0] += 1
+        return hash(self.n)
+
+
+def test_reduction_looks_up_only_the_pivots_a_column_meets():
+    # 400 independent columns meet no pivot, so the work per column is fixed
+    # (10 hashes each); testing each column at every earlier pivot row took
+    # 83,000 hashes
+    hashes = [0]
+    columns = [{CountedKey(n, hashes): 1} for n in range(400)]
+    assert list(kernel_vectors(columns, PrimeField(5))) == []
+    assert hashes[0] < 20 * len(columns)
 
 
 # --- the mod-p pass over Q and Z, and its fallback to exact elimination -------
