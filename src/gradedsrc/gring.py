@@ -34,11 +34,12 @@ class GroupRing:
         return GRElement(self, {g: c})
 
     def from_terms(self, pairs) -> "GRElement":
+        add, is_zero = self.coeff.add, self.coeff.is_zero
         terms = {}
         for g, c in pairs:
-            acc = terms.get(g, self.coeff.zero)
-            terms[g] = self.coeff.add(acc, c)
-        return GRElement(self, {g: c for g, c in terms.items() if not self.coeff.is_zero(c)})
+            acc = terms.get(g)
+            terms[g] = c if acc is None else add(acc, c)
+        return GRElement(self, {g: c for g, c in terms.items() if not is_zero(c)})
 
     def from_int(self, n: int) -> "GRElement":
         return self.delta(self.group.identity, self.coeff.coerce(n))
@@ -65,7 +66,13 @@ class GroupRing:
 
 
 class GRElement:
-    """Finite formal sum; zero coefficients are never stored."""
+    """Finite formal sum; zero coefficients are never stored.
+
+    Every coefficient ring a GroupRing is built over is a domain (Q, Z, F_p
+    with p checked prime, F_q with a modulus checked irreducible, Z[sqrt(-5)]),
+    so a product of two nonzero coefficients is nonzero and is stored on a new
+    key unchecked; only a sum on a repeated key can cancel, and then the key
+    is deleted."""
 
     __slots__ = ("ring", "terms")
 
@@ -74,17 +81,21 @@ class GRElement:
         self.terms = terms
 
     def _same_ring(self, other):
-        if not isinstance(other, GRElement) or other.ring != self.ring:
+        if not isinstance(other, GRElement) or (
+            other.ring is not self.ring and other.ring != self.ring
+        ):
             raise MixedRings("group-ring operands from different rings")
 
     def __add__(self, other):
         self._same_ring(other)
-        R = self.ring.coeff
+        add, is_zero = self.ring.coeff.add, self.ring.coeff.is_zero
         out = dict(self.terms)
         for g, c in other.terms.items():
-            s = R.add(out.get(g, R.zero), c)
-            if R.is_zero(s):
-                out.pop(g, None)
+            acc = out.get(g)
+            if acc is None:
+                out[g] = c
+            elif is_zero(s := add(acc, c)):
+                del out[g]
             else:
                 out[g] = s
         return GRElement(self.ring, out)
@@ -98,14 +109,18 @@ class GRElement:
 
     def __mul__(self, other):
         self._same_ring(other)
-        G, R = self.ring.group, self.ring.coeff
+        gmul, R = self.ring.group.mul, self.ring.coeff
+        add, mul, is_zero = R.add, R.mul, R.is_zero
         out = {}
+        get = out.get
         for g, c in self.terms.items():
             for h, d in other.terms.items():
-                k = G.mul(g, h)
-                s = R.add(out.get(k, R.zero), R.mul(c, d))
-                if R.is_zero(s):
-                    out.pop(k, None)
+                k = gmul(g, h)
+                acc = get(k)
+                if acc is None:
+                    out[k] = mul(c, d)
+                elif is_zero(s := add(acc, mul(c, d))):
+                    del out[k]
                 else:
                     out[k] = s
         return GRElement(self.ring, out)

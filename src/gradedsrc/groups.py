@@ -14,8 +14,9 @@ import itertools
 import math
 from fractions import Fraction
 from functools import cached_property
-from operator import itemgetter
+from operator import add, itemgetter, neg
 
+from .coeff import _is_int
 from .errors import FolnerNotFound, InfiniteIndex, MixedGroups
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
@@ -120,10 +121,10 @@ class FreeAbelian:
         self.identity = (0,) * rank
 
     def mul(self, g, h):
-        return tuple(a + b for a, b in zip(g, h))
+        return tuple(map(add, g, h))
 
     def inv(self, g):
-        return tuple(-a for a in g)
+        return tuple(map(neg, g))
 
     def generators(self):
         return [tuple(1 if j == i else 0 for j in range(self.rank)) for i in range(self.rank)]
@@ -146,7 +147,9 @@ class FreeAbelian:
         return list(g)
 
     def elem_from_json(self, obj):
-        v = tuple(int(a) for a in obj)
+        v = tuple(obj)
+        if not all(map(_is_int, v)):
+            raise ValueError(f"Z^{self.rank} element {obj!r} must hold ints only")
         if len(v) != self.rank:
             raise ValueError(f"vector length {len(v)} != rank {self.rank}")
         return v
@@ -294,7 +297,9 @@ class FiniteGroup:
 
     def elem_from_json(self, obj):
         if self.kind == "perm":
-            g = tuple(int(i) - 1 for i in obj)
+            if not all(map(_is_int, obj)):
+                raise ValueError(f"permutation {obj!r} must hold ints only")
+            g = tuple(i - 1 for i in obj)
         else:
             g = obj if not isinstance(obj, list) else tuple(obj)
         if g not in self._index:

@@ -26,16 +26,23 @@ def group_to_json(G) -> dict:
     raise TypeError(f"unsupported group {G!r}")
 
 
+def _int_field(obj, key) -> int:
+    v = obj[key]
+    if not _is_int(v):
+        raise ValueError(f"group {key!r} must be an int, not {v!r}")
+    return v
+
+
 def group_from_json(obj) -> object:
     family = obj["family"]
     if family == "free":
-        return FreeGroup(obj["rank"])
+        return FreeGroup(_int_field(obj, "rank"))
     if family == "abelian":
-        return FreeAbelian(obj["rank"])
+        return FreeAbelian(_int_field(obj, "rank"))
     if family == "symmetric":
-        return FiniteGroup.symmetric(obj["n"])
+        return FiniteGroup.symmetric(_int_field(obj, "n"))
     if family == "cyclic":
-        return FiniteGroup.cyclic(obj["n"])
+        return FiniteGroup.cyclic(_int_field(obj, "n"))
     if family == "finite":
         els = [tuple(e) if isinstance(e, list) else e for e in obj["elements"]]
         if any(type(k) is not int for row in obj["table"] for k in row):

@@ -183,13 +183,15 @@ def truncated_kernel(a, radius: int) -> TruncatedKernelReport:
         for j, f in cols
     ]
     basis = list(kernel_vectors(columns, ring.coeff))
-    out = []
-    for v in basis:
-        xs = []
-        for j in range(n):
-            chunk = v[j * len(D) : (j + 1) * len(D)]
-            xs.append(ring.from_terms(zip(D, chunk)))
-        out.append(tuple(xs))
+    zero, size = ring.coeff.zero, len(D)
+    # the ball has no repeated elements, so each nonzero entry is a term
+    out = [
+        tuple(
+            GRElement(ring, {g: c for g, c in zip(D, v[j * size : (j + 1) * size]) if c != zero})
+            for j in range(n)
+        )
+        for v in basis
+    ]
     return TruncatedKernelReport(
         radius=radius,
         domain=D,

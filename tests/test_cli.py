@@ -274,6 +274,47 @@ def test_non_int_system_shape_is_bad_input(tmp_path, capsys, key, value):
     assert "bad input:" in capsys.readouterr().err
 
 
+def group_system(group, g, h):
+    """1 x 2 system (d_g + d_h) x1 + d_h x2 = 0 over Q[group], elements as JSON."""
+    return {"group": group, "coeff": {"ring": "Q"}, "m": 1, "n": 2,
+            "a": [[[[g, "1"], [h, "1"]], [[h, "1"]]]]}
+
+
+@pytest.mark.parametrize("group, g, h", [
+    ({"family": "abelian", "rank": True}, [0], [1]),
+    ({"family": "free", "rank": True}, "", "a"),
+    ({"family": "symmetric", "n": True}, [1], [1]),
+    ({"family": "cyclic", "n": True}, 0, 0),
+    ({"family": "abelian", "rank": "2"}, [0, 0], [1, 0]),
+    ({"family": "abelian", "rank": 2.0}, [0, 0], [1, 0]),
+    ({"family": "free", "rank": 2.0}, "", "a"),
+    ({"family": "symmetric", "n": "3"}, [1, 2, 3], [2, 1, 3]),
+    ({"family": "cyclic", "n": 3.0}, 0, 1),
+], ids=["abelian-bool", "free-bool", "symmetric-bool", "cyclic-bool", "abelian-str",
+        "abelian-float", "free-float", "symmetric-str", "cyclic-float"])
+def test_non_int_group_size_is_bad_input(tmp_path, capsys, group, g, h):
+    # read as 1, true would solve over Z^1, F_1, S_1 or C_1; the message must
+    # name the field, not a later step's failure
+    key = "rank" if "rank" in group else "n"
+    assert main(["solve", "--in", write(tmp_path, "sys.json", group_system(group, g, h))]) == 1
+    assert f"bad input: group {key!r} must be an int" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("group, g, h", [
+    ({"family": "abelian", "rank": 2}, [0.7, 0], [1, 0]),
+    ({"family": "abelian", "rank": 2}, [True, 0], [1, 0]),
+    ({"family": "abelian", "rank": 2}, ["1", 0], [1, 0]),
+    ({"family": "symmetric", "n": 3}, [1, 2.9, 3], [2, 1, 3]),
+    ({"family": "symmetric", "n": 3}, ["1", "2", "3"], [2, 1, 3]),
+    ({"family": "symmetric", "n": 3}, [True, 2, 3], [2, 1, 3]),
+], ids=["z2-float", "z2-bool", "z2-str", "s3-float", "s3-str", "s3-bool"])
+def test_non_int_group_element_is_bad_input(tmp_path, capsys, group, g, h):
+    # int(...) would read each as another element and solve the system
+    assert main(["solve", "--in", write(tmp_path, "sys.json", group_system(group, g, h))]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("bad input:") and f"{g!r} must hold ints only" in err
+
+
 def run_cli(argv, timeout, address_space=None):
     """``gradedsrc argv`` in a fresh interpreter, optionally under an
     address-space limit in bytes."""

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradedsrc.coeff import QQ
+from gradedsrc.coeff import QQ, ZSQRT5, ZZ, ExtField, Integers, QuadRing, Rationals, ff_extend
 from gradedsrc.errors import InexactDivision, MixedRings
 from gradedsrc.gring import (
     GroupRing,
@@ -17,7 +17,7 @@ from gradedsrc.gring import (
     sign_graded_mul,
     strongly_graded_check,
 )
-from gradedsrc.groups import FiniteGroup, FiniteSubset, FreeGroup, product_set
+from gradedsrc.groups import FiniteGroup, FiniteSubset, FreeAbelian, FreeGroup, product_set
 
 
 def test_group_ring_expansion(zf2):
@@ -69,6 +69,100 @@ def test_grading_law_single_terms(zf2):
     x = zf2.delta((1, 2), 3)
     y = zf2.delta((-2,), 5)
     assert set((x * y).support().elements) <= {zf2.group.mul((1, 2), (-2,))}
+
+
+# --- arithmetic against a naive reference -------------------------------------
+
+F4 = ff_extend(2, 2)
+# name -> (ring, a structurally equal but distinct copy, coefficient strategy);
+# every strategy can draw zero and values that cancel
+COEFFS = {
+    "Q": (QQ, Rationals(), st.fractions(min_value=-2, max_value=2, max_denominator=3)),
+    "Z": (ZZ, Integers(), st.integers(-2, 2)),
+    "F4": (F4, ExtField(2, 2, F4.poly), st.sampled_from(list(F4.elements()))),
+    "Zsqrt-5": (ZSQRT5, QuadRing(), st.tuples(st.integers(-2, 2), st.integers(-2, 2))),
+}
+S3 = FiniteGroup.symmetric(3)
+# name -> (group, equal copy, element strategy over a few elements, so keys repeat)
+GROUPS = {
+    "Z^2": (FreeAbelian(2), FreeAbelian(2), st.tuples(st.integers(-1, 1), st.integers(-1, 1))),
+    "F_2": (FreeGroup(2), FreeGroup(2), st.sampled_from(sorted(FreeGroup(2).ball_elements(1)))),
+    "S_3": (S3, FiniteGroup.symmetric(3), st.sampled_from(S3.elements)),
+}
+
+
+def naive(ring, pairs):
+    """Accumulate every term from zero, then drop zeros."""
+    R = ring.coeff
+    acc = {}
+    for g, c in pairs:
+        acc[g] = R.add(acc.get(g, R.zero), c)
+    return {g: c for g, c in acc.items() if not R.is_zero(c)}
+
+
+def naive_product(ring, x, y):
+    return naive(ring, [(ring.group.mul(g, h), ring.coeff.mul(c, d))
+                        for g, c in x.terms.items() for h, d in y.terms.items()])
+
+
+def assert_matches(ring, z, reference):
+    assert z.terms == reference
+    assert not any(ring.coeff.is_zero(c) for c in z.terms.values())
+
+
+@given(st.data(), st.sampled_from(sorted(COEFFS)), st.sampled_from(sorted(GROUPS)))
+@settings(max_examples=300, deadline=None)
+def test_arithmetic_matches_naive_reference(data, coeff, group):
+    R, R_copy, coeffs = COEFFS[coeff]
+    G, G_copy, elems = GROUPS[group]
+    ring, twin = GroupRing(G, R), GroupRing(G_copy, R_copy)
+    pairs = st.lists(st.tuples(elems, coeffs), max_size=6)
+    p, q = data.draw(pairs), data.draw(pairs)
+    x, y = ring.from_terms(p), ring.from_terms(q)
+    assert_matches(ring, x, naive(ring, p))
+    assert_matches(ring, x + y, naive(ring, p + q))
+    assert_matches(ring, x * y, naive_product(ring, x, y))
+    # forced cancellations: x + (-x), pairs summing to zero
+    assert (x + (-x)).terms == {} and (x - x).terms == {}
+    assert ring.from_terms(p + [(g, R.neg(c)) for g, c in reversed(p)]).terms == {}
+    # (d_g + d_h)(d_k - d_{h^-1 g k}): the terms at gk cancel unless g = h
+    g, h, k = data.draw(elems), data.draw(elems), data.draw(elems)
+    u = ring.from_terms([(g, R.one), (h, R.one)])
+    v = ring.from_terms([(k, R.one), (G.mul(G.inv(h), G.mul(g, k)), R.neg(R.one))])
+    uv = u * v
+    assert_matches(ring, uv, naive_product(ring, u, v))
+    if g != h:
+        assert G.mul(g, k) not in uv.terms
+    assert_matches(ring, uv + y, naive(ring, list(uv.terms.items()) + q))
+    # an equal but distinct ring mixes freely
+    y_twin = twin.from_terms(q)
+    assert twin == ring and twin is not ring
+    assert_matches(ring, x + y_twin, naive(ring, p + q))
+    assert_matches(ring, x * y_twin, naive_product(ring, x, y_twin))
+
+
+@pytest.mark.parametrize("other", [
+    GroupRing(FreeAbelian(2), ZZ),
+    GroupRing(FreeAbelian(3), QQ),
+    GroupRing(FreeGroup(2), QQ),
+], ids=["coefficients", "rank", "family"])
+def test_different_rings_raise_mixed_rings(other):
+    ring = GroupRing(FreeAbelian(2), QQ)
+    x, y = ring.one(), other.one()
+    for op in (lambda a, b: a + b, lambda a, b: a * b):
+        with pytest.raises(MixedRings):
+            op(x, y)
+        with pytest.raises(MixedRings):
+            op(y, x)
+
+
+def test_fields_with_different_moduli_do_not_mix():
+    f8, f8_other = ExtField(2, 3, (1, 1, 0, 1)), ExtField(2, 3, (1, 0, 1, 1))
+    x = GroupRing(S3, f8).one()
+    with pytest.raises(MixedRings):
+        x * GroupRing(S3, f8_other).one()
+    with pytest.raises(MixedRings):
+        x + GroupRing(FiniteGroup.cyclic(6), f8).one()
 
 
 # --- sign-graded fixture -----------------------------------------------------
