@@ -33,7 +33,6 @@ from .ideals import SubgroupHandle, distinguish_subgroups, ideal_membership_IH
 from .serialize import (
     coeff_from_json,
     group_from_json,
-    group_to_json,
     solution_to_json,
     system_from_json,
 )
@@ -131,7 +130,7 @@ def cmd_folner(args) -> int:
         return 2
     emit(
         {
-            "group": group_to_json(G),
+            "group": G.to_json(),
             "f": [G.elem_to_json(g) for g in F],
             "sizes": {"f": len(F), "sf": len(SF)},
             "ratio_bound": str(ratio),
@@ -205,7 +204,7 @@ def cmd_ideal(args) -> int:
     ring = GroupRing(G, coeff_from_json(obj.get("coeff", {"ring": "Q"})))
     H = SubgroupHandle.create(G, [G.elem_from_json(g) for g in obj["h"]])
     out = {
-        "group": group_to_json(G),
+        "group": G.to_json(),
         "provenance": {"command": "ideal", "seed": args.seed, "version": __version__},
     }
     if "r" in obj:

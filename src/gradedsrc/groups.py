@@ -3,6 +3,8 @@
 Three families: free groups (reduced words), free abelian groups (integer
 vectors), and explicit finite groups (element list + multiplication table).
 Elements are plain hashable values; the descriptor supplies the operations.
+Each family also supplies its Folner schedule (``folner_schedule``), its JSON
+form (``to_json``) and its coset classifier (``cosets``).
 
 Canonical orderings: shortlex on words (a < a^-1 < b < b^-1 ...), plain
 lexicographic on integer vectors, list position for finite groups.
@@ -23,6 +25,11 @@ _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 # Largest order the symmetric and cyclic families build: their tables hold
 # order^2 entries.  S_6 (720 elements) builds in 0.07 s; S_7 would hold 25 M.
 ORDER_CAP = 1000
+
+
+def _json_type(x):
+    """The type of a stored element, through its tuples: bool, int and float differ."""
+    return tuple(map(_json_type, x)) if type(x) is tuple else type(x)
 
 
 def _bfs(mul, start, gens, radius=math.inf):
@@ -70,9 +77,6 @@ class FreeGroup:
     def generators(self):
         return [(i,) for i in range(1, self.rank + 1)]
 
-    def gen_set(self):
-        return [(i,) for i in range(1, self.rank + 1)] + [(-i,) for i in range(1, self.rank + 1)]
-
     @staticmethod
     def _letter_key(x):
         return (abs(x), 0 if x > 0 else 1)
@@ -81,7 +85,20 @@ class FreeGroup:
         return (len(g), tuple(self._letter_key(x) for x in g))
 
     def ball_elements(self, r: int):
-        return _bfs(self.mul, [self.identity], self.gen_set(), r)
+        gens = self.generators()
+        return _bfs(self.mul, [self.identity], gens + [self.inv(g) for g in gens], r)
+
+    def folner_schedule(self, budget: int) -> tuple:
+        """(candidate sets, exhaustion message): balls of radius 0..budget.
+        For rank >= 2 no sets are Folner sets, so a bound near 1 exhausts it."""
+        return ((ball(self, r) for r in range(budget + 1)),
+                f"no ball of radius <= {budget} meets the bound")
+
+    def to_json(self) -> dict:
+        return {"family": "free", "rank": self.rank}
+
+    def cosets(self, generators):
+        raise InfiniteIndex(f"coset classification unsupported for {self!r}")
 
     def elem_to_json(self, g):
         return " ".join(
@@ -126,13 +143,6 @@ class FreeAbelian:
     def inv(self, g):
         return tuple(map(neg, g))
 
-    def generators(self):
-        return [tuple(1 if j == i else 0 for j in range(self.rank)) for i in range(self.rank)]
-
-    def gen_set(self):
-        gens = self.generators()
-        return gens + [self.inv(g) for g in gens]
-
     def sort_key(self, g):
         return g
 
@@ -142,6 +152,17 @@ class FreeAbelian:
 
     def box_elements(self, side: int):
         return set(itertools.product(range(side), repeat=self.rank))
+
+    def folner_schedule(self, budget: int) -> tuple:
+        """(candidate sets, exhaustion message): boxes [0, L)^d, L = 1..budget."""
+        return ((box(self, side) for side in range(1, budget + 1)),
+                f"no box of side <= {budget} meets the bound")
+
+    def to_json(self) -> dict:
+        return {"family": "abelian", "rank": self.rank}
+
+    def cosets(self, generators) -> "AbelianCosets":
+        return AbelianCosets(self, generators)
 
     def elem_to_json(self, g):
         return list(g)
@@ -277,18 +298,25 @@ class FiniteGroup:
         els = self.elements
         return {(g, h): els[k] for g, row in zip(els, self.rows) for h, k in zip(els, row)}
 
-    def generators(self):
-        return list(self.generators_list)
-
-    def gen_set(self):
-        gens = list(self.generators_list)
-        return gens + [self._inv[g] for g in gens]
-
     def sort_key(self, g):
         return self._index[g]
 
     def ball_elements(self, r: int):
-        return _bfs(self.mul, [self.identity], self.gen_set(), r)
+        gens = list(self.generators_list)
+        return _bfs(self.mul, [self.identity], gens + [self._inv[g] for g in gens], r)
+
+    def folner_schedule(self, budget: int) -> tuple:
+        """(candidate sets, exhaustion message): the whole group, whatever the budget."""
+        return [FiniteSubset.of(self, self.elements)], "whole finite group does not meet the bound"
+
+    def to_json(self) -> dict:
+        if self.kind == "perm":
+            return {"family": "symmetric", "n": len(self.elements[0])}
+        return {"family": "finite", "elements": list(self.elements),
+                "table": list(map(list, self.rows))}
+
+    def cosets(self, generators) -> "FiniteCosets":
+        return FiniteCosets(self, generators)
 
     def elem_to_json(self, g):
         if self.kind == "perm":
@@ -302,7 +330,9 @@ class FiniteGroup:
             g = tuple(i - 1 for i in obj)
         else:
             g = obj if not isinstance(obj, list) else tuple(obj)
-        if g not in self._index:
+        i = self._index.get(g)
+        # equal is not enough: true == 1 == 1.0, and JSON tells them apart
+        if i is None or _json_type(g) != _json_type(self.elements[i]):
             raise ValueError(f"{obj!r} is not an element of this group")
         return g
 
@@ -381,26 +411,13 @@ def folner_ratio_ok(S: FiniteSubset, F: FiniteSubset, ratio_bound: Fraction):
 
 
 def folner_search(G, S: FiniteSubset, ratio_bound, budget: int) -> tuple:
-    """(F, SF) for the first scheduled F with |SF| < ratio_bound * |F|.
-
-    Schedules: boxes [0,L)^d for free abelian groups, the whole group for
-    finite groups, balls for free groups (which will exhaust the budget for
-    any ratio reachable only by amenable growth).
-    """
+    """(F, SF) for the first F of ``G.folner_schedule(budget)`` with
+    |SF| < ratio_bound * |F|; FolnerNotFound with the schedule's message if
+    none meets the bound."""
     ratio_bound = Fraction(ratio_bound)
     if ratio_bound <= 1:
         raise ValueError("ratio_bound must exceed 1")
-    if isinstance(G, FiniteGroup):
-        schedule = [FiniteSubset.of(G, G.elements)]
-        failure = "whole finite group does not meet the bound"
-    elif isinstance(G, FreeAbelian):
-        schedule = (box(G, side) for side in range(1, budget + 1))
-        failure = f"no box of side <= {budget} meets the bound"
-    elif isinstance(G, FreeGroup):
-        schedule = (ball(G, r) for r in range(budget + 1))
-        failure = f"no ball of radius <= {budget} meets the bound"
-    else:
-        raise TypeError(f"unsupported group {G!r}")
+    schedule, failure = G.folner_schedule(budget)
     for F in schedule:
         SF = folner_ratio_ok(S, F, ratio_bound)
         if SF is not False:  # an empty S gives an empty, falsy SF
@@ -515,12 +532,3 @@ class FiniteCosets:
 
     def contains(self, g) -> bool:
         return self.index(g) == self.index(self.group.identity)
-
-
-def cosets(G, generators):
-    """Coset classifier for a finite-index subgroup of a supported group."""
-    if isinstance(G, FiniteGroup):
-        return FiniteCosets(G, generators)
-    if isinstance(G, FreeAbelian):
-        return AbelianCosets(G, generators)
-    raise InfiniteIndex(f"coset classification unsupported for {G!r}")

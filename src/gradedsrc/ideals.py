@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 
 from .gring import GRElement, GroupRing
-from .groups import FiniteCosets, ball, cosets
+from .groups import ball
 
 
 class SubgroupHandle:
@@ -21,16 +21,14 @@ class SubgroupHandle:
 
     @classmethod
     def create(cls, group, generators) -> "SubgroupHandle":
-        return cls(group, tuple(generators), cosets(group, generators))
+        return cls(group, tuple(generators), group.cosets(generators))
 
     def contains(self, g) -> bool:
         return self.classifier.contains(g)
 
     def member_elements(self):
         """Finite list of subgroup members when available (finite groups)."""
-        if isinstance(self.classifier, FiniteCosets):
-            return list(self.classifier.subgroup)
-        return list(self.generators)
+        return list(getattr(self.classifier, "subgroup", self.generators))
 
 
 def ideal_membership_IH(r: GRElement, H: SubgroupHandle) -> bool:

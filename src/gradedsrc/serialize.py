@@ -4,6 +4,7 @@ Conventions: free-group words as letter strings ("a B a", capitals inverse),
 integer vectors as arrays, permutations in 1-based one-line notation;
 rationals as "num/den" strings, finite-field elements as coefficient arrays,
 quadratic integers as [a, b]; ring elements as sorted [group, coeff] pairs.
+Each group class writes its own form (``to_json``); ``group_from_json`` reads it.
 """
 
 from __future__ import annotations
@@ -12,18 +13,6 @@ from .coeff import QQ, ZSQRT5, ZZ, ExtField, PrimeField, _is_int, ff_extend
 from .gring import GroupRing
 from .groups import FiniteGroup, FreeAbelian, FreeGroup
 from .srcsolve import LinearSystem
-
-
-def group_to_json(G) -> dict:
-    if isinstance(G, FreeGroup):
-        return {"family": "free", "rank": G.rank}
-    if isinstance(G, FreeAbelian):
-        return {"family": "abelian", "rank": G.rank}
-    if isinstance(G, FiniteGroup):
-        if G.kind == "perm":
-            return {"family": "symmetric", "n": len(G.elements[0])}
-        return {"family": "finite", "elements": list(G.elements), "table": list(map(list, G.rows))}
-    raise TypeError(f"unsupported group {G!r}")
 
 
 def _int_field(obj, key) -> int:
@@ -84,7 +73,7 @@ def coeff_from_json(obj):
 
 def system_to_json(sys: LinearSystem) -> dict:
     return {
-        "group": group_to_json(sys.ring.group),
+        "group": sys.ring.group.to_json(),
         "coeff": coeff_to_json(sys.ring.coeff),
         "m": sys.m,
         "n": sys.n,

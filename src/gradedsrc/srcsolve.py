@@ -17,15 +17,7 @@ from fractions import Fraction
 from .coeff import ExtField, Integers, PrimeField, Rationals
 from .errors import EmptySupport, UnexpectedEmptyKernel
 from .gring import GRElement, GroupRing
-from .groups import (
-    FiniteGroup,
-    FiniteSubset,
-    FreeAbelian,
-    FreeGroup,
-    ball,
-    folner_search,
-    product_set,
-)
+from .groups import FiniteSubset, ball, folner_search, product_set
 # kernel_basis stays importable from this module: perfbench's self-tests reach it here
 from .linalg import kernel_basis, kernel_vectors  # noqa: F401
 
@@ -135,9 +127,6 @@ def verify_solution(sys: LinearSystem, xs) -> bool:
 
 def solve_src(sys: LinearSystem, budget: int = 64) -> SolutionVector:
     """Full Folner pipeline; the returned solution is verified by substitution."""
-    G = sys.ring.group
-    if not isinstance(G, (FreeAbelian, FiniteGroup, FreeGroup)):
-        raise TypeError(f"unsupported group {G!r}")
     if not isinstance(sys.ring.coeff, (Rationals, Integers, PrimeField, ExtField)):
         raise TypeError(f"unsupported coefficient ring {sys.ring.coeff!r}")
     S = sys.union_support()
@@ -145,7 +134,7 @@ def solve_src(sys: LinearSystem, budget: int = 64) -> SolutionVector:
         xs = (sys.ring.one(),) + tuple(sys.ring.zero() for _ in range(sys.n - 1))
         return SolutionVector(xs, verified=True)
     ratio = Fraction(sys.n, sys.m)
-    F, SF = folner_search(G, S, ratio, budget)
+    F, SF = folner_search(sys.ring.group, S, ratio, budget)
     lifted = lift_system(sys, F, SF)
     assert len(lifted.row_index) < len(lifted.col_index)
     kv = next(kernel_vectors(lifted.columns, lifted.base_ring), None)
@@ -208,37 +197,25 @@ def intconst_truncated_kernel(poly_ring, a, max_degree: int, radius: int):
     Unknowns are polynomials of degree <= max_degree whose higher coefficients
     are supported in ball(radius); the constant term is an integer.  Returns
     (rank, ncols, basis) with basis entries as tuples of polynomial values.
+
+    Multiplying by a raises every degree by one, so the kernel splits by
+    degree: ``truncated_kernel(a, 0)`` for the constant term (ball(0) = {1})
+    and ``truncated_kernel(a, radius)`` for each degree 1..max_degree.  The
+    basis keeps the order of one kernel over all columns, laid out by unknown,
+    degree and ball position: by each vector's last nonzero column.
     """
-    base = poly_ring.base
-    G = base.group
-    m = len(a)
-    n = len(a[0])
-    D = list(ball(G, radius))
-    # column layout: unknown j, degree d, then basis element (degree 0 has one)
-    cols = []
-    for j in range(n):
-        cols.append((j, 0, G.identity))
-        for d in range(1, max_degree + 1):
-            for g in D:
-                cols.append((j, d, g))
-    # image of each basis vector, keyed by (equation, degree, group element)
-    columns = [
-        {
-            (i, d + 1, h): c
-            for i in range(m)
-            for h, c in (a[i][j] * base.delta(g)).terms.items()
-        }
-        for j, d, g in cols
-    ]
-    basis = list(kernel_vectors(columns, Integers()))
-    out = []
-    for v in basis:
-        polys = []
-        for j in range(n):
-            coeffs = [base.zero()] * (max_degree + 1)
-            for cidx, (jj, d, g) in enumerate(cols):
-                if jj == j and v[cidx]:
-                    coeffs[d] = coeffs[d] + base.delta(g, v[cidx])
-            polys.append(poly_ring.make(coeffs))
-        out.append(tuple(polys))
-    return len(cols) - len(out), len(cols), out
+    zero = poly_ring.base.zero()
+    blocks = [(0, truncated_kernel(a, 0))]
+    if max_degree:
+        high = truncated_kernel(a, radius)
+        blocks += [(d, high) for d in range(1, max_degree + 1)]
+    found = []
+    for d, report in blocks:
+        pos = {g: p for p, g in enumerate(report.domain)}
+        for xs in report.basis:
+            j = max(j for j, x in enumerate(xs) if not x.is_zero())
+            last = (j, d, max(map(pos.__getitem__, xs[j].terms)))
+            found.append((last, tuple(poly_ring.make([zero] * d + [x]) for x in xs)))
+    found.sort(key=lambda item: item[0])
+    ncols = sum(report.ncols for _, report in blocks)
+    return ncols - len(found), ncols, [polys for _, polys in found]

@@ -3,19 +3,21 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradedsrc.cli import main
-from gradedsrc.coeff import QQ, ZZ, PrimeField, ff_extend
+from gradedsrc.coeff import QQ, ZSQRT5, ZZ, PrimeField, ff_extend
 from gradedsrc.gring import GroupRing
 from gradedsrc.groups import FiniteGroup, FreeAbelian, FreeGroup
 from gradedsrc.serialize import (
     coeff_from_json,
     coeff_to_json,
     group_from_json,
-    group_to_json,
     system_from_json,
     system_to_json,
 )
@@ -49,7 +51,7 @@ def footnote_json():
 
 def test_group_roundtrip():
     for G in (FreeGroup(2), FreeAbelian(3), FiniteGroup.symmetric(3)):
-        G2 = group_from_json(group_to_json(G))
+        G2 = group_from_json(G.to_json())
         assert G2 == G or set(G2.elements) == set(G.elements)
 
 
@@ -62,15 +64,15 @@ def test_finite_group_roundtrip():
     obj = {"family": "finite", "elements": els, "table": table}
     G = group_from_json(obj)
     assert G.identity == (0, 0) and G.mul((1, 2), (1, 1)) == (0, 0)
-    assert json.loads(json.dumps(group_to_json(G))) == obj
-    assert group_from_json(group_to_json(G)) == G
+    assert json.loads(json.dumps(G.to_json())) == obj
+    assert group_from_json(G.to_json()) == G
 
 
 def test_finite_group_roundtrip_byte_identical():
     els = ["e", "a", "b"]
     obj = {"family": "finite", "elements": els, "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]}
     text = json.dumps(obj, sort_keys=True)
-    assert json.dumps(group_to_json(group_from_json(json.loads(text))), sort_keys=True) == text
+    assert json.dumps(group_from_json(json.loads(text)).to_json(), sort_keys=True) == text
 
 
 @pytest.mark.parametrize("table", [
@@ -164,6 +166,76 @@ def test_zsqrt5_coefficients_must_be_two_ints(tmp_path, capsys, entry, code):
         assert "bad input" in capsys.readouterr().err
     else:
         assert json.loads(open(out).read())["membership"] is True
+
+
+def z2_z3_shuffled(order):
+    """Z/2 x Z/3 on list elements in the given order, as a "finite" group."""
+    els = [Z2_Z3[i] for i in order]
+    table = [[els.index([(a[0] + b[0]) % 2, (a[1] + b[1]) % 3]) for b in els] for a in els]
+    return group_from_json({"family": "finite", "elements": els, "table": table})
+
+
+GROUPS = st.one_of(
+    st.integers(1, 4).map(FreeGroup),
+    st.integers(1, 4).map(FreeAbelian),
+    st.integers(1, 4).map(FiniteGroup.symmetric),
+    st.integers(1, 12).map(FiniteGroup.cyclic),
+    st.permutations(range(6)).map(z2_z3_shuffled),
+)
+
+
+def random_element(data, G):
+    if isinstance(G, FreeGroup):
+        letters = [s * i for i in range(1, G.rank + 1) for s in (1, -1)]
+        word = data.draw(st.lists(st.sampled_from(letters), max_size=8))
+        return G.mul(G.identity, tuple(word))
+    if isinstance(G, FreeAbelian):
+        return tuple(data.draw(st.lists(st.integers(-50, 50), min_size=G.rank,
+                                        max_size=G.rank)))
+    return data.draw(st.sampled_from(G.elements))
+
+
+def through_json(obj):
+    return json.loads(json.dumps(obj))
+
+
+@given(GROUPS, st.data())
+@settings(max_examples=100, deadline=None)
+def test_group_and_element_json_roundtrip(G, data):
+    G2 = group_from_json(through_json(G.to_json()))
+    assert G2 == G
+    for _ in range(5):
+        g = random_element(data, G)
+        back = G2.elem_from_json(through_json(G.elem_to_json(g)))
+        assert back == g and repr(back) == repr(g)  # repr tells 1, 1.0 and True apart
+
+
+RINGS = st.sampled_from([QQ, ZZ, ZSQRT5, PrimeField(2), PrimeField(7), PrimeField(2**61 - 1),
+                         ff_extend(2, 3), ff_extend(3, 2), ff_extend(5, 3), ff_extend(2, 8)])
+
+
+def random_value(data, R):
+    if R == QQ:
+        num, den = data.draw(st.integers(-10**20, 10**20)), data.draw(st.integers(1, 10**6))
+        return Fraction(num, den)
+    if R == ZZ:
+        return data.draw(st.integers(-10**30, 10**30))
+    if R == ZSQRT5:
+        return (data.draw(st.integers(-10**6, 10**6)), data.draw(st.integers(-10**6, 10**6)))
+    if isinstance(R, PrimeField):
+        return data.draw(st.integers(0, R.p - 1))
+    return R.from_index(data.draw(st.integers(0, R.order - 1)))
+
+
+@given(RINGS, st.data())
+@settings(max_examples=100, deadline=None)
+def test_coeff_ring_and_value_json_roundtrip(R, data):
+    R2 = coeff_from_json(through_json(coeff_to_json(R)))
+    assert R2 == R
+    for _ in range(5):
+        x = random_value(data, R)
+        back = R2.from_json(through_json(R.to_json(x)))
+        assert back == x and repr(back) == repr(x)
 
 
 def test_coeff_roundtrip():
@@ -313,6 +385,24 @@ def test_non_int_group_element_is_bad_input(tmp_path, capsys, group, g, h):
     assert main(["solve", "--in", write(tmp_path, "sys.json", group_system(group, g, h))]) == 1
     err = capsys.readouterr().err
     assert err.startswith("bad input:") and f"{g!r} must hold ints only" in err
+
+
+Z2_Z3 = [[1, 2], [0, 0], [1, 0], [0, 1], [1, 1], [0, 2]]
+Z2_Z3_GROUP = {"family": "finite", "elements": Z2_Z3, "table": [
+    [Z2_Z3.index([(a[0] + b[0]) % 2, (a[1] + b[1]) % 3]) for b in Z2_Z3] for a in Z2_Z3]}
+
+
+@pytest.mark.parametrize("group, g, h", [
+    ({"family": "cyclic", "n": 3}, True, 0),
+    ({"family": "cyclic", "n": 3}, 1.0, 0),
+    (Z2_Z3_GROUP, [True, 0], [0, 0]),
+], ids=["c3-bool", "c3-float", "finite-bool"])
+def test_label_element_of_another_json_type_is_bad_input(tmp_path, capsys, group, g, h):
+    # true == 1 == 1.0 in Python, so a lookup by value alone would read each
+    # as an element and solve the system
+    assert main(["solve", "--in", write(tmp_path, "sys.json", group_system(group, g, h))]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("bad input:") and f"{g!r} is not an element of this group" in err
 
 
 def run_cli(argv, timeout, address_space=None):

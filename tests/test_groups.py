@@ -14,7 +14,6 @@ from gradedsrc.groups import (
     FreeGroup,
     ball,
     box,
-    cosets,
     folner_search,
     hermite_normal_form,
     product_set,
@@ -239,7 +238,7 @@ def test_hermite_normal_form():
 
 def test_cosets_z_mod_2():
     Z = FreeAbelian(1)
-    c = cosets(Z, [(2,)])
+    c = Z.cosets([(2,)])
     assert c.num_cosets == 2
     assert c.index((4,)) == c.index((0,))
     assert c.index((3,)) == c.index((1,))
@@ -248,13 +247,13 @@ def test_cosets_z_mod_2():
 
 def test_cosets_s3():
     S3 = FiniteGroup.symmetric(3)
-    c = cosets(S3, [(1, 0, 2)])
+    c = S3.cosets([(1, 0, 2)])
     assert c.num_cosets == 3
     assert all(len(cs) == 2 for cs in c.cosets)
 
 
 def test_cosets_z2_mod_2x2():
-    c = cosets(Z2, [(2, 0), (0, 2)])
+    c = Z2.cosets([(2, 0), (0, 2)])
     assert c.num_cosets == 4
     assert c.index((3, 5)) == c.index((1, 1))
 
@@ -263,7 +262,7 @@ def test_cached_lookups_agree_with_scans():
     B = box(Z2, 3)
     probe = list(box(Z2, 5))
     assert [g in B for g in probe] == [g in set(B.elements) for g in probe]
-    c = cosets(Z2, [(2, 1), (0, 3)])
+    c = Z2.cosets([(2, 1), (0, 3)])
     assert [c.index(g) for g in probe] == [
         c.representatives.index(c.reduce(g)) for g in probe
     ]
@@ -271,7 +270,7 @@ def test_cached_lookups_agree_with_scans():
 
 def test_cosets_infinite_index():
     with pytest.raises(InfiniteIndex):
-        cosets(Z2, [(2, 0)])
+        Z2.cosets([(2, 0)])
 
 
 words = st.lists(st.sampled_from([1, -1, 2, -2]), max_size=8)

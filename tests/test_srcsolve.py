@@ -8,7 +8,7 @@ from gradedsrc.coeff import QQ, ZZ, PrimeField, ff_extend
 from gradedsrc.errors import FolnerNotFound
 from gradedsrc.gring import GroupRing, IntConstPolyRing
 from gradedsrc.groups import FiniteGroup, FiniteSubset, FreeAbelian, FreeGroup, ball, box
-from gradedsrc.linalg import kernel_basis, rank
+from gradedsrc.linalg import kernel_basis, kernel_vectors, rank
 from gradedsrc.srcsolve import (
     LinearSystem,
     apply_matrix,
@@ -255,6 +255,76 @@ def test_intconst_truncated_kernel_example():
     b = base.delta((2,)) - base.one()
     rnk, ncols, basis = intconst_truncated_kernel(P, [[a, b]], 2, 2)
     assert (rnk, ncols, basis) == (70, 70, [])
+
+
+def reference_intconst_truncated_kernel(poly_ring, a, max_degree, radius):
+    """The kernel built as one matrix over every (unknown, degree, ball
+    element) column, as ``intconst_truncated_kernel`` once did."""
+    base = poly_ring.base
+    G = base.group
+    m = len(a)
+    n = len(a[0])
+    D = list(ball(G, radius))
+    cols = []
+    for j in range(n):
+        cols.append((j, 0, G.identity))
+        for d in range(1, max_degree + 1):
+            for g in D:
+                cols.append((j, d, g))
+    columns = [
+        {
+            (i, d + 1, h): c
+            for i in range(m)
+            for h, c in (a[i][j] * base.delta(g)).terms.items()
+        }
+        for j, d, g in cols
+    ]
+    basis = list(kernel_vectors(columns, ZZ))
+    out = []
+    for v in basis:
+        polys = []
+        for j in range(n):
+            coeffs = [base.zero()] * (max_degree + 1)
+            for cidx, (jj, d, g) in enumerate(cols):
+                if jj == j and v[cidx]:
+                    coeffs[d] = coeffs[d] + base.delta(g, v[cidx])
+            polys.append(poly_ring.make(coeffs))
+        out.append(tuple(polys))
+    return len(cols) - len(out), len(cols), out
+
+
+INTCONST = IntConstPolyRing()
+
+
+@st.composite
+def intconst_cases(draw):
+    """A 1 x n or 2 x n grid over ZF_2 supported in ball(1), with a kernel
+    planted in some: a zero column, a duplicated column, or a column equal
+    to another times a group element."""
+    base = INTCONST.base
+    support = list(ball(base.group, 1))
+    term = st.tuples(st.sampled_from(support), st.integers(-2, 2))
+    entry = st.lists(term, max_size=3).map(base.from_terms)
+    m, n = draw(st.integers(1, 2)), draw(st.integers(2, 3))
+    a = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+    plant = draw(st.sampled_from(["none", "zero", "duplicate", "shifted"]))
+    g = base.delta(draw(st.sampled_from(support)))
+    for row in a:
+        if plant == "zero":
+            row[-1] = base.zero()
+        elif plant == "duplicate":
+            row[-1] = row[0]
+        elif plant == "shifted":
+            row[-1] = row[0] * g
+    return a, draw(st.integers(0, 2)), draw(st.integers(0, 1))
+
+
+@given(intconst_cases())
+@settings(max_examples=60, deadline=None)
+def test_intconst_truncated_kernel_matches_one_matrix(case):
+    a, max_degree, radius = case
+    got = intconst_truncated_kernel(INTCONST, a, max_degree, radius)
+    assert got == reference_intconst_truncated_kernel(INTCONST, a, max_degree, radius)
 
 
 # --- randomized lift/assemble consistency ------------------------------------
