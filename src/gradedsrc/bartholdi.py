@@ -14,7 +14,7 @@ import random
 from .coeff import ExtField, ff_extend
 from .errors import ConstantPolynomial, RetryExhausted, SetSystemNotFound
 from .gring import GRElement, GroupRing
-from .linalg import determinant, rank
+from .linalg import kernel_vectors, rank
 from .srcsolve import apply_matrix, truncated_kernel
 
 
@@ -241,7 +241,8 @@ def family_rows(sys: SetSystem, family: dict):
 
 def construct_alphas(sys: SetSystem, K: ExtField, seed: int, max_tries: int = 64) -> AlphaFamily:
     """Seeded sampling over a Schwartz-Zippel-sized extension, retrying until
-    every admissible family's leading determinant evaluates nonzero."""
+    every admissible family's leading m x m block is nonsingular: the sparse
+    engine, on the field's tables below their cap, finds no kernel vector."""
     m = sys.size
     families = admissible_families(sys)
     degree_sum = m * len(families)
@@ -256,8 +257,9 @@ def construct_alphas(sys: SetSystem, K: ExtField, seed: int, max_tries: int = 64
         ok = True
         for family in families:
             rows = family_rows(sys, family)[:m]
-            mat = [[values[(s, i, j)] for j in range(1, m + 1)] for s, i in rows]
-            if L.is_zero(determinant(mat, L)):
+            columns = [{r: values[(s, i, j)] for r, (s, i) in enumerate(rows)}
+                       for j in range(1, m + 1)]
+            if next(kernel_vectors(columns, L), None) is not None:
                 ok = False
                 break
         if ok:

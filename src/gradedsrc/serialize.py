@@ -15,10 +15,10 @@ from .groups import FiniteGroup, FreeAbelian, FreeGroup
 from .srcsolve import LinearSystem
 
 
-def _int_field(obj, key) -> int:
+def _int_field(obj, key, kind="group") -> int:
     v = obj[key]
     if not _is_int(v):
-        raise ValueError(f"group {key!r} must be an int, not {v!r}")
+        raise ValueError(f"{kind} {key!r} must be an int, not {v!r}")
     return v
 
 
@@ -61,11 +61,15 @@ def coeff_from_json(obj):
     if name == "Z":
         return ZZ
     if name == "Fp":
-        return PrimeField(obj["p"])
+        return PrimeField(_int_field(obj, "p", "coeff"))
     if name == "Fq":
+        p, k = _int_field(obj, "p", "coeff"), _int_field(obj, "k", "coeff")
         if "poly" in obj:
-            return ExtField(obj["p"], obj["k"], tuple(obj["poly"]))
-        return ff_extend(obj["p"], obj["k"])
+            poly = obj["poly"]
+            if not isinstance(poly, list) or not all(map(_is_int, poly)):
+                raise ValueError(f"coeff 'poly' must be an array of ints, not {poly!r}")
+            return ExtField(p, k, tuple(poly))
+        return ff_extend(p, k)
     if name == "Zsqrt-5":
         return ZSQRT5
     raise ValueError(f"unknown coefficient ring {name!r}")

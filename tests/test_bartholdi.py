@@ -151,6 +151,14 @@ def test_construct_and_verify_roundtrip(system10, alphas10):
     assert rep.ok
 
 
+def test_singular_first_sample_is_retried(system10):
+    # over F_3, seed 29 draws a singular block first; the golden output of
+    # ``theta --field 3 --radius 1 --seed 29`` pins the family it retries to
+    fam = construct_alphas(system10, ff_extend(3, 1), seed=29)
+    assert fam.provenance["attempt"] == 1
+    assert verify_alphas(fam, system10).ok
+
+
 def test_zero_matrices_fail_every_family(system10, alphas10):
     L = alphas10.field
     zero = AlphaFamily(

@@ -146,6 +146,24 @@ def test_short_or_unreduced_field_coefficients_solve(tmp_path, coeff, entry):
     assert verify_solution(sys, xs)
 
 
+@pytest.mark.parametrize("coeff, key", [
+    ({"ring": "Fq", "p": 2, "k": True}, "'k' must be an int"),
+    ({"ring": "Fq", "p": 2, "k": 2.0}, "'k' must be an int"),
+    ({"ring": "Fq", "p": True, "k": 2}, "'p' must be an int"),
+    ({"ring": "Fq", "p": 3, "k": 2, "poly": [1, 0, True]}, "'poly' must be an array of ints"),
+    ({"ring": "Fq", "p": 3, "k": 2, "poly": [1, 0.0, 1]}, "'poly' must be an array of ints"),
+    ({"ring": "Fq", "p": 3, "k": 2, "poly": "101"}, "'poly' must be an array of ints"),
+    ({"ring": "Fp", "p": True}, "'p' must be an int"),
+    ({"ring": "Fp", "p": 5.0}, "'p' must be an int"),
+], ids=["fq-k-bool", "fq-k-float", "fq-p-bool", "fq-poly-bool", "fq-poly-float",
+        "fq-poly-str", "fp-p-bool", "fp-p-float"])
+def test_non_int_field_parameter_is_bad_input(tmp_path, capsys, coeff, key):
+    # read as 1, k = true would solve over F_2 and poly [1, 0, true] over
+    # F_3[x]/(1 + x^2); p = true would fail later as "True is not prime"
+    assert main(["solve", "--in", write(tmp_path, "sys.json", field_system(coeff, [1]))]) == 1
+    assert f"bad input: coeff {key}" in capsys.readouterr().err
+
+
 def test_non_int_z_coefficient_is_bad_input(tmp_path, capsys):
     # int(2.7) would solve the truncated system (2 + t) x1 + x2 = 0
     obj = {"group": {"family": "abelian", "rank": 1}, "coeff": {"ring": "Z"}, "m": 1, "n": 2,

@@ -125,6 +125,12 @@ CLI = {
     "embed-cert --coeff Z --radius 6": (
         "5a4111785297c10b45f3f9872447683cb789d0cbaffbc91755319065ab734cd7"
     ),
+    # recorded with dense determinants in the alpha sampler, before it tested
+    # nonsingularity through the sparse engine; a block of the first sample
+    # is singular, so the alphas carry "attempt": 1
+    "theta --field 3 --radius 1 --seed 29": (
+        "efdbf21a58e616386c020547640f65aa213d9f87bdb6194812137ada726e6cc2"
+    ),
 }
 
 

@@ -389,3 +389,52 @@ def test_field_above_the_cap_skips_the_tables(monkeypatch):
     small = ff_extend(2, 3)
     assert kernel_basis([[small.one, small.one]], small) == [[small.one, small.one]]
     assert built == [small]
+
+
+# --- nonsingularity: a kernel vector exactly when the determinant is zero ---
+
+NONSINGULARITY_FIELDS = {F.name: F for F in (
+    ff_extend(2, 2), ff_extend(2, 3), ff_extend(3, 2), ff_extend(2, 7), ff_extend(3, 4),
+    ExtField(2, 21, (1, 0, 1) + (0,) * 18 + (1,)),  # x^21 + x^2 + 1, above the table cap
+)}
+
+
+@st.composite
+def square_blocks(draw):
+    """A random square matrix over a field, or one with a planted singularity:
+    a zero column, a column that combines the others, or a repeated row."""
+    F = NONSINGULARITY_FIELDS[draw(st.sampled_from(sorted(NONSINGULARITY_FIELDS)))]
+    n = draw(st.integers(1, 5))
+    entry = st.one_of(st.just(0), st.integers(0, F.order - 1)).map(F.from_index)
+    mat = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    plant = draw(st.sampled_from(["none", "zero column", "combination", "repeated row"]))
+    if plant == "repeated row" and n == 1:
+        plant = "none"
+    if plant == "zero column":
+        c = draw(st.integers(0, n - 1))
+        for row in mat:
+            row[c] = F.zero
+    elif plant == "combination":
+        c = draw(st.integers(0, n - 1))
+        fs = draw(st.lists(entry, min_size=n, max_size=n))
+        for row in mat:
+            acc = F.zero
+            for j, (a, f) in enumerate(zip(row, fs)):
+                if j != c:
+                    acc = F.add(acc, F.mul(f, a))
+            row[c] = acc
+    elif plant == "repeated row":
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        mat[j] = list(mat[i])
+    return F, mat, plant
+
+
+@given(square_blocks())
+def test_kernel_vector_exactly_when_determinant_vanishes(case):
+    F, mat, plant = case
+    n = len(mat)
+    columns = [{i: row[c] for i, row in enumerate(mat)} for c in range(n)]
+    nonsingular = next(kernel_vectors(columns, F), None) is None
+    assert nonsingular == (not F.is_zero(determinant(mat, F)))
+    if plant != "none":
+        assert not nonsingular
