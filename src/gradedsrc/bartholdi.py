@@ -77,37 +77,46 @@ class SetSystem:
         }
 
 
-def _count_vectors(total: int, parts: int):
-    """Nonnegative integer vectors summing to `total`, lexicographic order."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _count_vectors(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def search_set_system(s_size: int, y_max: int, log_base="e") -> SetSystem:
-    """First system (smallest |Y|, then lexicographic membership-pattern
-    counts) meeting both conditions; re-verified by direct enumeration."""
+    """First system (smallest |Y|, then lexicographic membership-pattern counts)
+    meeting both conditions, by a depth-first walk over the counts that skips
+    only counts with no valid completion; re-verified by direct enumeration."""
     if s_size < 2:
         raise ValueError("need at least two labels")
-    labels = tuple(range(s_size))
-    patterns = [p for p in range(1, 2**s_size)]  # bitmask: which X_s contain the point
+    labels, patterns, last = tuple(range(s_size)), range(1, 2**s_size), 2**s_size - 2
+    c = 1 + _log(s_size, log_base)
+    conds = [(1 << s, t) for t in patterns for s in labels if t >> s & 1]  # (s, T) as bitmasks
+    feeds = [{i for i, (bit, t) in enumerate(conds) if p & t == bit} for p in patterns]
+    later = [set().union(*feeds[j + 1:]) for j in range(len(feeds))]  # fed after pattern j
     for m in range(2, y_max + 1):
-        for counts in _count_vectors(m - 1, len(patterns)):
-            X = {s: set() for s in labels}
-            idx = 1
-            for pat, cnt in zip(patterns, counts):
-                for _ in range(cnt):
-                    for s in labels:
-                        if pat >> s & 1:
-                            X[s].add(idx)
-                    idx += 1
-            sys = SetSystem(m, labels, {s: frozenset(X[s]) for s in labels})
-            ok, _ = sys.validate(log_base)
-            if ok:
-                return sys
+        # the least |X_{s,T}| that validate's test accepts (m: out of reach)
+        need = [next((v for v in range(m) if not v * c * bin(t).count("1") < m), m)
+                for _, t in conds]
+        have, counts = [0] * len(conds), [0] * len(patterns)
+
+        def walk(j, left):
+            if j > last:
+                return True
+            # enough for what j feeds last, and what only later patterns feed stays in reach
+            lo = max([need[i] - have[i] for i in feeds[j] - later[j]] + [left if j == last else 0])
+            hi = min([have[i] + left - need[i] for i in later[j] - feeds[j]] + [left])
+            for k in range(lo, hi + 1):
+                counts[j] = k
+                for i in feeds[j]:
+                    have[i] += k
+                if walk(j + 1, left - k):
+                    return True
+                for i in feeds[j]:
+                    have[i] -= k
+            return False
+
+        if walk(0, m - 1):
+            points = [p for p, k in zip(patterns, counts) for _ in range(k)]
+            X = {s: frozenset(y for y, p in enumerate(points, 1) if p >> s & 1) for s in labels}
+            ok, failures = (sys := SetSystem(m, labels, X)).validate(log_base)
+            if not ok:  # the walk's counting and the direct enumeration disagree
+                raise AssertionError(f"search built an invalid set system: {failures}")
+            return sys
     raise SetSystemNotFound(f"no admissible system with |Y| <= {y_max}")
 
 

@@ -75,6 +75,9 @@ def cmd_solve(args) -> int:
 
 
 def cmd_theta(args) -> int:
+    if args.s > 4:  # letter_b would repeat a letter, which ThetaMap rejects
+        raise ValueError(f"--s {args.s}: theta takes at most 4 labels, "
+                         "one per letter a, A, b, B of F_2")
     try:
         system = search_set_system(args.s, args.ymax)
     except SetSystemNotFound as exc:

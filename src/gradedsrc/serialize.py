@@ -68,6 +68,8 @@ def coeff_from_json(obj):
             poly = obj["poly"]
             if not isinstance(poly, list) or not all(map(_is_int, poly)):
                 raise ValueError(f"coeff 'poly' must be an array of ints, not {poly!r}")
+            if not all(0 <= c < p for c in poly):
+                raise ValueError(f"coeff 'poly' entries must lie in [0, {p}), not {poly!r}")
             return ExtField(p, k, tuple(poly))
         return ff_extend(p, k)
     if name == "Zsqrt-5":

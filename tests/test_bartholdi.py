@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -99,6 +100,73 @@ def test_no_symmetric_profile_at_9():
 def test_log_base_2_also_accepts(system10):
     ok, failures = system10.validate(log_base=2)
     assert ok, failures
+
+
+def reference_search_set_system(s_size, y_max, log_base="e"):
+    """Every count vector in lexicographic order, each built and checked by
+    ``validate``, as ``search_set_system`` once did; None when exhausted."""
+
+    def count_vectors(total, parts):
+        if parts == 1:
+            yield (total,)
+            return
+        for first in range(total + 1):
+            for rest in count_vectors(total - first, parts - 1):
+                yield (first,) + rest
+
+    labels = tuple(range(s_size))
+    patterns = range(1, 2**s_size)
+    for m in range(2, y_max + 1):
+        for counts in count_vectors(m - 1, len(patterns)):
+            X = {s: set() for s in labels}
+            idx = 1
+            for pat, cnt in zip(patterns, counts):
+                for _ in range(cnt):
+                    for s in labels:
+                        if pat >> s & 1:
+                            X[s].add(idx)
+                    idx += 1
+            sys = SetSystem(m, labels, {s: frozenset(X[s]) for s in labels})
+            if sys.validate(log_base)[0]:
+                return sys
+    return None
+
+
+def search_or_none(s_size, y_max, log_base):
+    try:
+        return search_set_system(s_size, y_max, log_base)
+    except SetSystemNotFound:
+        return None
+
+
+@pytest.mark.parametrize("s_size, y_max, log_base", [
+    *[(2, y, b) for y in range(2, 15) for b in ("e", 2, 3, 10)],
+    (3, 12, "e"),
+    (3, 11, "e"),
+])
+def test_pruned_search_matches_full_enumeration(s_size, y_max, log_base):
+    # the same first system, or exhaustion in both
+    assert search_or_none(s_size, y_max, log_base) == reference_search_set_system(
+        s_size, y_max, log_base)
+
+
+def test_search_pins_the_s3_and_s4_systems():
+    assert search_set_system(3, 20).to_json() == {
+        "size": 12, "labels": [0, 1, 2],
+        "x": {"0": [1, 2, 5, 8, 10, 11], "1": [3, 4, 5, 9, 10, 11], "2": [6, 7, 8, 9, 10, 11]},
+    }
+    assert search_set_system(4, 14).to_json() == {
+        "size": 14, "labels": [0, 1, 2, 3],
+        "x": {"0": [1, 2, 7, 10, 11, 13], "1": [3, 4, 7, 10, 12, 13],
+              "2": [5, 6, 7, 11, 12, 13], "3": [8, 9, 10, 11, 12, 13]},
+    }
+
+
+def test_s4_search_is_exhausted_quickly():
+    start = time.perf_counter()
+    with pytest.raises(SetSystemNotFound):
+        search_set_system(4, 13)
+    assert time.perf_counter() - start < 2.0
 
 
 # --- point finding -----------------------------------------------------------

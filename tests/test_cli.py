@@ -164,6 +164,13 @@ def test_non_int_field_parameter_is_bad_input(tmp_path, capsys, coeff, key):
     assert f"bad input: coeff {key}" in capsys.readouterr().err
 
 
+def test_fq_modulus_entry_outside_the_prime_field_is_bad_input(tmp_path, capsys):
+    # read as given, [4, 0, 1] would make a field unequal to the one [1, 0, 1] gives
+    coeff = {"ring": "Fq", "p": 3, "k": 2, "poly": [4, 0, 1]}
+    assert main(["solve", "--in", write(tmp_path, "sys.json", field_system(coeff, [1]))]) == 1
+    assert "bad input: coeff 'poly' entries must lie in [0, 3)" in capsys.readouterr().err
+
+
 def test_non_int_z_coefficient_is_bad_input(tmp_path, capsys):
     # int(2.7) would solve the truncated system (2 + t) x1 + x2 = 0
     obj = {"group": {"family": "abelian", "rank": 1}, "coeff": {"ring": "Z"}, "m": 1, "n": 2,
@@ -492,6 +499,13 @@ def test_theta_pipeline(tmp_path):
 def test_theta_search_exhausted(capsys):
     assert main(["theta", "--s", "2", "--ymax", "3"]) == 3
     assert "set-system" in capsys.readouterr().err
+
+
+def test_theta_past_four_labels_is_bad_input(capsys):
+    # F_2 has four letters a, A, b, B for the b_s; refused before the search
+    assert main(["theta", "--s", "5", "--ymax", "2"]) == 1
+    err = capsys.readouterr().err
+    assert "bad input" in err and "a, A, b, B" in err
 
 
 def test_theta_radius_zero(tmp_path):
