@@ -1,23 +1,19 @@
-"""Run the full nonamenable-side pipeline and print a certification summary.
+"""Run the theta pipeline at increasing radius and print a certification summary.
 
-Searches for the smallest admissible set system, constructs the alpha
-matrices by seeded sampling over a finite-field extension, verifies every
-admissible family by exact rank computation, then certifies injectivity of
-the induced map Theta on truncations of increasing radius.
+For each radius up to --max-radius this runs ``gradedsrc theta``: the search
+for the smallest admissible set system, the seeded construction of the alpha
+matrices over a finite-field extension, the exact rank check of every
+admissible family, and the injectivity certificate of the induced map Theta on
+the truncation of that radius.  The summary is read from the command's JSON
+output.
 """
 
 import argparse
+import json
+import os
+import tempfile
 
-from gradedsrc.bartholdi import (
-    build_theta,
-    construct_alphas,
-    letter_b,
-    search_set_system,
-    theta_certify,
-    verify_alphas,
-)
-from gradedsrc.coeff import ff_extend
-from gradedsrc.groups import FreeGroup
+from gradedsrc import cli
 
 
 def main():
@@ -29,23 +25,28 @@ def main():
     ap.add_argument("--max-radius", type=int, default=1)
     args = ap.parse_args()
 
-    system = search_set_system(args.s, args.ymax)
-    print(f"set system: |Y| = {system.size}, X = "
-          + ", ".join(f"{s}:{sorted(system.X[s])}" for s in system.labels))
-    print(f"missing point: {system.missing_point()}")
-
-    fam = construct_alphas(system, ff_extend(args.field, 1), seed=args.seed)
-    print(f"alphas over F_{fam.field.p}^{fam.field.k} "
-          f"(attempt {fam.provenance['attempt']})")
-    rep = verify_alphas(fam, system)
-    print(f"alpha verification: support_ok={rep.row_support_ok}, "
-          f"{sum(f['ok'] for f in rep.families)}/{len(rep.families)} families full rank")
-
-    theta = build_theta(fam, letter_b(system.labels), FreeGroup(2))
-    for radius in range(args.max_radius + 1):
-        cert = theta_certify(theta, radius)
-        print(f"radius {radius}: {cert.ncols} columns, rank {cert.rank}, "
-              f"{cert.verdict()}, missing row zero: {cert.missing_row_zero}")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "theta.json")
+        for radius in range(args.max_radius + 1):
+            code = cli.main(["theta", "--s", str(args.s), "--ymax", str(args.ymax),
+                             "--field", str(args.field), "--seed", str(args.seed),
+                             "--radius", str(radius), "--out", path])
+            if code:
+                raise SystemExit(code)
+            with open(path) as fh:
+                report = json.load(fh)
+            if radius == 0:
+                system, alpha = report["set_system"], report["alpha"]
+                families = report["alpha_families"]
+                print(f"set system: |Y| = {system['size']}, X = "
+                      + ", ".join(f"{s}:{xs}" for s, xs in system["x"].items()))
+                print(f"alphas over F_{alpha['field']['p']}^{alpha['field']['k']} "
+                      f"(attempt {alpha['provenance']['attempt']})")
+                print(f"alpha verification: verified={report['alpha_verified']}, "
+                      f"{sum(f['ok'] for f in families)}/{len(families)} families full rank")
+            theta = report["theta"]
+            print(f"radius {radius}: {theta['ncols']} columns, rank {theta['rank']}, "
+                  f"{theta['verdict']}, missing row zero: {theta['missing_row_zero']}")
 
 
 if __name__ == "__main__":

@@ -414,7 +414,7 @@ def theta_certify(theta: ThetaMap, radius: int) -> ThetaReport:
 
 
 # ---------------------------------------------------------------------------
-# footnote embedding and flat scalar extension
+# footnote embedding
 
 
 def _footnote_row(ring: GroupRing) -> list:
@@ -433,9 +433,3 @@ def footnote_embedding(x1: GRElement, x2: GRElement) -> GRElement:
 def footnote_kernel(ring: GroupRing, radius: int):
     """Truncated-kernel certifier for the footnote embedding."""
     return truncated_kernel([_footnote_row(ring)], radius)
-
-
-def extend_scalars(matrix, ring: GroupRing):
-    """Entry-wise inclusion of base-ring scalars as coefficients of delta_1."""
-    ident = ring.group.identity
-    return [[ring.delta(ident, c) for c in row] for row in matrix]

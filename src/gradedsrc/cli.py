@@ -13,7 +13,6 @@ import json
 import os
 import sys
 import tempfile
-from fractions import Fraction
 
 from . import __version__
 from .bartholdi import (
@@ -25,9 +24,15 @@ from .bartholdi import (
     theta_certify,
     verify_alphas,
 )
-from .coeff import QQ, ZZ, ff_extend
+from .coeff import QQ, ZZ, _is_int, ff_extend
 from .errors import FolnerNotFound, GradedSrcError, SetSystemNotFound
-from .gring import GroupRing, IntConstPolyRing, strongly_graded_check
+from .gring import (
+    GroupRing,
+    IntConstPolyRing,
+    group_ring_witness,
+    intconst_witness,
+    sign_graded_witness,
+)
 from .groups import FiniteSubset, FreeGroup, folner_search
 from .ideals import SubgroupHandle, distinguish_subgroups, ideal_membership_IH
 from .serialize import (
@@ -124,8 +129,10 @@ def cmd_folner(args) -> int:
     obj = load_json(args.infile)
     G = group_from_json(obj["group"])
     S = FiniteSubset.of(G, (G.elem_from_json(g) for g in obj["s"]))
-    ratio = Fraction(obj["ratio"])
-    budget = int(obj.get("budget", args.budget))
+    ratio = QQ.from_json(obj["ratio"])
+    budget = obj.get("budget", args.budget)
+    if not _is_int(budget):
+        raise ValueError(f"folner 'budget' must be an int, not {budget!r}")
     try:
         F, SF = folner_search(G, S, ratio, budget)
     except FolnerNotFound as exc:
@@ -148,26 +155,23 @@ def cmd_graded_verify(args) -> int:
     if args.fixture == "group-ring":
         ring = GroupRing(FreeGroup(2), QQ)
         g = ring.group.elem_from_json(args.g or "a")
-        rep = strongly_graded_check(ring, g)
+        rep = group_ring_witness(ring, g)
         witness = [[ring.elem_to_json(u), ring.elem_to_json(v)] for u, v in rep.witness]
         grade = ring.group.elem_to_json(g)
     elif args.fixture == "sign-graded":
         g = int(args.g) if args.g is not None else -1
-        rep = strongly_graded_check("example-sign-graded", g)
+        rep = sign_graded_witness(g)
         witness = (
             None
             if rep.witness is None
             else [[[list(u.s), list(u.x)], [list(v.s), list(v.x)]] for u, v in rep.witness]
         )
         grade = g
-    elif args.fixture == "intconst-poly":
+    else:  # "intconst-poly", the last of argparse's choices
         g = int(args.g) if args.g is not None else -1
-        poly_ring = IntConstPolyRing()
-        rep = strongly_graded_check(poly_ring, g)
+        rep = intconst_witness(IntConstPolyRing(), g)
         witness = None if rep.witness is None else "[1 * 1]"
         grade = g
-    else:
-        raise ValueError(f"unknown fixture {args.fixture!r}")
     emit(
         {
             "fixture": args.fixture,

@@ -156,18 +156,25 @@ def poly_is_irreducible(f, p) -> bool:
 # ring descriptors
 
 
-class Rationals:
-    """The field Q.  Values are Fraction (eagerly normalized)."""
+class _NamedRing:
+    """A ring without parameters: its instances are equal, and its name is
+    its hash and its repr."""
+
+    def __eq__(self, other):
+        return type(other) is type(self)
+
+    def __hash__(self):
+        return hash(self.name)
+
+    def __repr__(self):
+        return self.name
+
+
+class _Numbers(_NamedRing):
+    """Q or Z: the values are Python numbers, with their own arithmetic."""
 
     characteristic = 0
     degree = 1
-    name = "Q"
-
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    def coerce(self, n):
-        return Fraction(n)
 
     def add(self, x, y):
         return x + y
@@ -181,13 +188,25 @@ class Rationals:
     def neg(self, x):
         return -x
 
+    def is_zero(self, x):
+        return x == 0
+
+
+class Rationals(_Numbers):
+    """The field Q.  Values are Fraction (eagerly normalized)."""
+
+    name = "Q"
+
+    zero = Fraction(0)
+    one = Fraction(1)
+
+    def coerce(self, n):
+        return Fraction(n)
+
     def inv(self, x):
         if x == 0:
             raise DivisionByZero("1/0 in Q")
         return 1 / x
-
-    def is_zero(self, x):
-        return x == 0
 
     def to_json(self, x):
         return f"{x.numerator}/{x.denominator}"
@@ -203,21 +222,10 @@ class Rationals:
             raise ValueError(f"{obj!r} has a zero denominator")
         return Fraction(int(num), den)
 
-    def __eq__(self, other):
-        return type(other) is Rationals
 
-    def __hash__(self):
-        return hash("Q")
-
-    def __repr__(self):
-        return "Q"
-
-
-class Integers:
+class Integers(_Numbers):
     """The ring Z.  Values are int."""
 
-    characteristic = 0
-    degree = 1
     name = "Z"
 
     zero = 0
@@ -226,27 +234,12 @@ class Integers:
     def coerce(self, n):
         return int(n)
 
-    def add(self, x, y):
-        return x + y
-
-    def sub(self, x, y):
-        return x - y
-
-    def mul(self, x, y):
-        return x * y
-
-    def neg(self, x):
-        return -x
-
     def inv(self, x):
         if x in (1, -1):
             return x
         if x == 0:
             raise DivisionByZero("1/0 in Z")
         raise InexactDivision(f"{x} is not a unit of Z")
-
-    def is_zero(self, x):
-        return x == 0
 
     def to_json(self, x):
         return x
@@ -255,15 +248,6 @@ class Integers:
         if not _is_int(obj):
             raise ValueError(f"{obj!r} is not an int")
         return obj
-
-    def __eq__(self, other):
-        return type(other) is Integers
-
-    def __hash__(self):
-        return hash("Z")
-
-    def __repr__(self):
-        return "Z"
 
 
 class PrimeField:
@@ -395,9 +379,6 @@ class ExtField:
 
     def elements(self):
         return (self.from_index(n) for n in range(self.order))
-
-    def gen(self):
-        return self._pad((0, 1))
 
     def eval_poly(self, cs, x):
         """Evaluate a polynomial with coefficients in this field at x (Horner)."""
@@ -571,7 +552,7 @@ def ff_extend(p: int, k: int) -> ExtField:
     raise AssertionError("unreachable: irreducible polynomials exist in every degree")
 
 
-class QuadRing:
+class QuadRing(_NamedRing):
     """Z[sqrt(-5)].  Values are (a, b) meaning a + b*sqrt(-5)."""
 
     characteristic = 0
@@ -630,23 +611,10 @@ class QuadRing:
             raise ValueError(f"{obj!r} is not an array of two ints")
         return tuple(obj)
 
-    def __eq__(self, other):
-        return type(other) is QuadRing
-
-    def __hash__(self):
-        return hash("Zsqrt-5")
-
-    def __repr__(self):
-        return self.name
-
 
 QQ = Rationals()
 ZZ = Integers()
 ZSQRT5 = QuadRing()
-
-
-def quad_mul(x, y):
-    return ZSQRT5.mul(x, y)
 
 
 def ideal_membership_I(x) -> bool:

@@ -9,9 +9,10 @@ polynomials over ZF_2 with integer constant term.
 from __future__ import annotations
 
 from . import coeff as cf
-from .coeff import ZSQRT5, ideal_membership_I
+from .coeff import QQ, ZSQRT5, ideal_membership_I
 from .errors import InexactDivision, MixedRings
-from .groups import FiniteSubset, FreeGroup
+from .groups import FreeGroup
+from .linalg import determinant
 
 
 class GroupRing:
@@ -40,9 +41,6 @@ class GroupRing:
             acc = terms.get(g)
             terms[g] = c if acc is None else add(acc, c)
         return GRElement(self, {g: c for g, c in terms.items() if not is_zero(c)})
-
-    def from_int(self, n: int) -> "GRElement":
-        return self.delta(self.group.identity, self.coeff.coerce(n))
 
     def elem_to_json(self, x: "GRElement"):
         keys = sorted(x.terms, key=self.group.sort_key)
@@ -125,15 +123,6 @@ class GRElement:
                     out[k] = s
         return GRElement(self.ring, out)
 
-    def scale(self, c) -> "GRElement":
-        R = self.ring.coeff
-        out = {}
-        for g, x in self.terms.items():
-            s = R.mul(c, x)
-            if not R.is_zero(s):
-                out[g] = s
-        return GRElement(self.ring, out)
-
     def __eq__(self, other):
         return (
             isinstance(other, GRElement)
@@ -146,13 +135,6 @@ class GRElement:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def component(self, g):
-        """Homogeneous component r_g, defaulting to zero."""
-        return self.terms.get(g, self.ring.coeff.zero)
-
-    def support(self) -> FiniteSubset:
-        return FiniteSubset.of(self.ring.group, self.terms.keys())
 
     def __repr__(self):
         if not self.terms:
@@ -215,16 +197,9 @@ def sign_graded_is_unit(u: SignGradedElement) -> bool:
     ]
     # coordinates in the basis {(1,0)}, {(0,1)}, {(3,0)}, {(1,1)} of S (+) I
     images = [sign_graded_mul(u, b) for b in lattice]
-    cols = [[*p.s, (p.x[0] - p.x[1]) // 3, p.x[1]] for p in images]
-    return _det(cols) in (1, -1)  # a matrix and its transpose share the determinant
-
-
-def _det(m):
-    """Determinant of a small integer matrix by expansion along the first row."""
-    if len(m) == 1:
-        return m[0][0]
-    return sum((-1) ** j * a * _det([r[:j] + r[j + 1 :] for r in m[1:]])
-               for j, a in enumerate(m[0]) if a)
+    # as Fractions: QQ.inv of an int would be a float
+    cols = [list(map(QQ.coerce, (*p.s, (p.x[0] - p.x[1]) // 3, p.x[1]))) for p in images]
+    return determinant(cols, QQ) in (1, -1)  # a matrix and its transpose share it
 
 
 # ---------------------------------------------------------------------------
@@ -273,14 +248,9 @@ class IntConstPolyRing:
                 out[i + j] = out[i + j] + a * b
         return self.make(out)
 
-    def component(self, f, k: int):
-        if k < 0 or k >= len(f):
-            return self.base.zero()
-        return f[k]
-
 
 # ---------------------------------------------------------------------------
-# strong-grading witnesses and truncated non-zero-divisor checks
+# strong-grading witnesses
 
 
 class WitnessReport:
@@ -291,41 +261,32 @@ class WitnessReport:
         self.reason = reason
 
 
-def strongly_graded_check(fixture, g) -> WitnessReport:
-    """Produce and verify a witness for 1 in R_g R_{g^-1} (Prop-style check)."""
-    if isinstance(fixture, GroupRing):
-        G = fixture.group
-        u, v = fixture.delta(g), fixture.delta(G.inv(g))
-        ok = (u * v) == fixture.one()
-        return WitnessReport(ok, g, [(u, v)], "delta(g) * delta(g^-1) = 1")
-    if isinstance(fixture, str) and fixture == "example-sign-graded":
-        if g == 1:
-            return WitnessReport(True, g, [(SG_ONE, SG_ONE)], "1 * 1 = 1")
-        if g == -1:
-            pairs = [
-                (SignGradedElement((0, 0), (3, 0)), SignGradedElement((0, 0), (2, -1))),
-                (SignGradedElement((0, 0), (1, 1)), SignGradedElement((0, 0), (1, 1))),
-            ]
-            total = SignGradedElement((0, 0), (0, 0))
-            for u, v in pairs:
-                total = sign_graded_add(total, sign_graded_mul(u, v))
-            ok = total == SG_ONE
-            return WitnessReport(ok, g, pairs, "3*(2-sqrt(-5)) + (1+sqrt(-5))^2 over 2-sqrt(-5)")
-        return WitnessReport(False, g, None, "grading group is {+1, -1}")
-    if isinstance(fixture, IntConstPolyRing):
-        if g == 0:
-            one = fixture.one()
-            return WitnessReport(True, g, [(one, one)], "R_0 = Z contains 1")
-        return WitnessReport(False, g, None, "every negative component is zero")
-    raise TypeError(f"unsupported fixture {fixture!r}")
+def group_ring_witness(ring: GroupRing, g) -> WitnessReport:
+    """delta(g) * delta(g^-1) = 1: a group ring is strongly graded by its group."""
+    u, v = ring.delta(g), ring.delta(ring.group.inv(g))
+    return WitnessReport((u * v) == ring.one(), g, [(u, v)], "delta(g) * delta(g^-1) = 1")
 
 
-def homog_nzd_check(ring: GroupRing, r: GRElement, radius: int) -> bool:
-    """Left multiplication by r has zero kernel on elements supported in
-    ball(radius).  A truncated certificate, not a proof for the whole ring."""
-    if r.is_zero():
-        return False
-    from .srcsolve import truncated_kernel
+def sign_graded_witness(g) -> WitnessReport:
+    """Witness for 1 in R_g R_{g^-1} in the sign-graded fixture, graded by {+1, -1}."""
+    if g == 1:
+        return WitnessReport(True, g, [(SG_ONE, SG_ONE)], "1 * 1 = 1")
+    if g == -1:
+        pairs = [
+            (SignGradedElement((0, 0), (3, 0)), SignGradedElement((0, 0), (2, -1))),
+            (SignGradedElement((0, 0), (1, 1)), SignGradedElement((0, 0), (1, 1))),
+        ]
+        total = SignGradedElement((0, 0), (0, 0))
+        for u, v in pairs:
+            total = sign_graded_add(total, sign_graded_mul(u, v))
+        ok = total == SG_ONE
+        return WitnessReport(ok, g, pairs, "3*(2-sqrt(-5)) + (1+sqrt(-5))^2 over 2-sqrt(-5)")
+    return WitnessReport(False, g, None, "grading group is {+1, -1}")
 
-    report = truncated_kernel([[r]], radius)
-    return not report.basis
+
+def intconst_witness(P: IntConstPolyRing, g) -> WitnessReport:
+    """Witness for 1 in R_g R_{g^-1} in the polynomial fixture, graded by Z."""
+    if g == 0:
+        one = P.one()
+        return WitnessReport(True, g, [(one, one)], "R_0 = Z contains 1")
+    return WitnessReport(False, g, None, "every negative component is zero")

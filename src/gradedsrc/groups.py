@@ -193,27 +193,12 @@ class FiniteGroup:
 
     family = "finite"
 
-    def __init__(self, elements, table, generators=None, kind="label"):
-        """``table`` maps each pair (g, h) of elements to g*h."""
-        els = tuple(elements)
-        index = {g: i for i, g in enumerate(els)}
-        try:
-            rows = [[index[table[g, h]] for h in els] for g in els]
-        except KeyError:  # a pair without a product in ``els``: no rows, not closed
-            rows = ()
-        self._init_table(els, rows, generators, kind)
-
-    @classmethod
-    def from_rows(cls, elements, rows, generators=None, kind="label") -> "FiniteGroup":
+    def __init__(self, elements, rows, generators=None, kind="label"):
         """The group on ``elements`` in which ``elements[i] * elements[j]`` is
-        ``elements[rows[i][j]]``; each entry must lie in range(n)."""
-        G = cls.__new__(cls)
-        G._init_table(tuple(elements), rows, generators, kind)
-        return G
-
-    def _init_table(self, els, rows, generators, kind):
-        """Store the table after checking distinct elements, closure, identity,
-        inverses and associativity, in this order."""
+        ``elements[rows[i][j]]``; each entry must lie in range(n).  The table
+        is checked for distinct elements, closure, identity, inverses and
+        associativity, in this order."""
+        els = tuple(elements)
         self.elements, self.kind, n, generators = els, kind, len(els), tuple(generators or ())
         self._index = {g: i for i, g in enumerate(els)}
         if len(self._index) != n:
@@ -276,7 +261,7 @@ class FiniteGroup:
                 if rows[a_s] is None:
                     rows[a_s] = step(rows[a])
                     queue.append(a_s)
-        return cls.from_rows(els, rows, generators=gens or None, kind="perm")
+        return cls(els, rows, generators=gens or None, kind="perm")
 
     @classmethod
     def cyclic(cls, n: int) -> "FiniteGroup":
@@ -284,19 +269,13 @@ class FiniteGroup:
         if n > ORDER_CAP:
             raise ValueError(f"C_{n} has more than {ORDER_CAP} elements")
         els = tuple(range(n))
-        return cls.from_rows(els, [els[a:] + els[:a] for a in els], generators=[1 % n])
+        return cls(els, [els[a:] + els[:a] for a in els], generators=[1 % n])
 
     def mul(self, g, h):
         return self.elements[self.rows[self._index[g]][self._index[h]]]
 
     def inv(self, g):
         return self._inv[g]
-
-    @cached_property
-    def table(self) -> dict:
-        """The product as a dict {(g, h): g*h}, derived from the rows."""
-        els = self.elements
-        return {(g, h): els[k] for g, row in zip(els, self.rows) for h, k in zip(els, row)}
 
     def sort_key(self, g):
         return self._index[g]
@@ -417,6 +396,8 @@ def folner_search(G, S: FiniteSubset, ratio_bound, budget: int) -> tuple:
     ratio_bound = Fraction(ratio_bound)
     if ratio_bound <= 1:
         raise ValueError("ratio_bound must exceed 1")
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, not {budget}")
     schedule, failure = G.folner_schedule(budget)
     for F in schedule:
         SF = folner_ratio_ok(S, F, ratio_bound)

@@ -100,31 +100,16 @@ def distinguish_subgroups(H: SubgroupHandle, K: SubgroupHandle, ring: GroupRing,
         relation = "K<=H"
     else:
         relation = "incomparable"
-    checked = 0
-    ok = True
-    if h_in_k:
-        for _ in range(sample_budget):
-            r = random_ideal_element(ring, H, rng)
-            checked += 1
-            if not ideal_membership_IH(r, K):
-                ok = False
-                break
-    if k_in_h:
-        for _ in range(sample_budget):
-            r = random_ideal_element(ring, K, rng)
-            checked += 1
-            if not ideal_membership_IH(r, H):
-                ok = False
-                break
-    witness = None
-    witness_in = None
-    if relation != "equal":
-        if not h_in_k:
-            g = _escape_element(H, K)
-            witness, witness_in = separator(ring, g), "I_H"
-            ok = ok and ideal_membership_IH(witness, H) and not ideal_membership_IH(witness, K)
-        else:
-            g = _escape_element(K, H)
-            witness, witness_in = separator(ring, g), "I_K"
-            ok = ok and ideal_membership_IH(witness, K) and not ideal_membership_IH(witness, H)
+    checked, ok, witness, witness_in = 0, True, None, None
+    for A, B, a_in_b, ideal in ((H, K, h_in_k, "I_H"), (K, H, k_in_h, "I_K")):
+        if a_in_b:  # samples of I_A must lie in I_B
+            for _ in range(sample_budget):
+                r = random_ideal_element(ring, A, rng)
+                checked += 1
+                if not ideal_membership_IH(r, B):
+                    ok = False
+                    break
+        elif witness is None:  # an element of I_A outside I_B
+            witness, witness_in = separator(ring, _escape_element(A, B)), ideal
+            ok = ok and ideal_membership_IH(witness, A) and not ideal_membership_IH(witness, B)
     return DistinguishReport(relation, checked, witness, witness_in, ok)

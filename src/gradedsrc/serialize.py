@@ -36,7 +36,7 @@ def group_from_json(obj) -> object:
         els = [tuple(e) if isinstance(e, list) else e for e in obj["elements"]]
         if any(type(k) is not int for row in obj["table"] for k in row):
             raise ValueError("finite group table entries must be element positions")
-        return FiniteGroup.from_rows(els, obj["table"])
+        return FiniteGroup(els, obj["table"])
     raise ValueError(f"unknown group family {family!r}")
 
 

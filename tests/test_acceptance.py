@@ -26,7 +26,7 @@ from gradedsrc.gring import (
     SignGradedElement,
     sign_graded_is_unit,
     sign_graded_mul,
-    strongly_graded_check,
+    sign_graded_witness,
 )
 from gradedsrc.groups import (
     FiniteGroup,
@@ -167,7 +167,7 @@ def test_criterion_3_sign_graded_fixture():
     w2 = sign_graded_mul(sq, sq)
     total = (w1.s[0] + w2.s[0], w1.s[1] + w2.s[1])
     witness_ok = w1.x == (0, 0) and w2.x == (0, 0) and total == (1, 0)
-    graded_ok = strongly_graded_check("example-sign-graded", -1).ok
+    graded_ok = sign_graded_witness(-1).ok
     # y = 5 - sqrt(-5) lies in I (5 = -1 mod 3) and y*y = (5-sqrt(-5))^2/(2-sqrt(-5))
     # = (20-10sqrt(-5))/(2-sqrt(-5)) = 10, so eps = 3 + y has inverse -3 + y and
     # behaves like 3 + sqrt(10). No unit lies in R_{-1}: multiplication by (0, x)

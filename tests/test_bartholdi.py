@@ -14,7 +14,6 @@ from gradedsrc.bartholdi import (
     admissible_families,
     build_theta,
     construct_alphas,
-    extend_scalars,
     find_point,
     footnote_embedding,
     footnote_kernel,
@@ -375,9 +374,9 @@ def test_theta_truncation_mechanism(theta10, alphas10):
                 for yp in range(10):
                     expected = L.add(
                         expected,
-                        L.mul(alphas10.matrices[s0][y - 1][yp], u[yp].component(f0)),
+                        L.mul(alphas10.matrices[s0][y - 1][yp], u[yp].terms.get(f0, L.zero)),
                     )
-                assert out[y - 1].component(g) == expected
+                assert out[y - 1].terms.get(g, L.zero) == expected
 
 
 # --- footnote embedding and scalar extension ---------------------------------
@@ -408,9 +407,12 @@ def test_footnote_kernel_zero_radii(qf2, zf2):
             assert rep.rank == rep.ncols
 
 
+# a scalar matrix acts through its entries c as delta(1, c)
+
+
 def test_extend_scalars_identity():
     R = GroupRing(FreeAbelian(1), ZZ)
-    M = extend_scalars([[1, 0], [0, 1]], R)
+    M = [[R.delta(R.group.identity, c) for c in row] for row in [[1, 0], [0, 1]]]
     assert M[0][0] == R.one() and M[0][1].is_zero()
     rep = truncated_kernel(M, 2)
     assert rep.basis == []
@@ -418,12 +420,13 @@ def test_extend_scalars_identity():
 
 def test_extend_scalars_multiplication_by_two():
     R = GroupRing(FreeAbelian(1), ZZ)
-    (row,) = extend_scalars([[2]], R)
+    row = [R.delta(R.group.identity, 2)]
     for r in (0, 1, 2):
         assert truncated_kernel([row], r).basis == []
 
 
 def test_extend_scalars_injective_pattern():
     R = GroupRing(FreeAbelian(1), ZZ)
-    M = extend_scalars([[1, 0], [0, 1], [1, 1]], R)  # injective on Z^2
+    M = [[R.delta(R.group.identity, c) for c in row]
+         for row in [[1, 0], [0, 1], [1, 1]]]  # injective on Z^2
     assert truncated_kernel(M, 2).basis == []

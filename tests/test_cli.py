@@ -549,6 +549,33 @@ def test_folner_exhausted(tmp_path):
     assert main(["folner", "--in", infile]) == 2
 
 
+README_FOLNER = {
+    "group": {"family": "abelian", "rank": 2},
+    "s": [[0, 0], [1, 0], [-1, 0], [0, 1], [0, -1]],
+    "ratio": "2",
+    "budget": 20,
+}
+
+
+# a float ratio is not exact, and a budget is a non-negative int
+@pytest.mark.parametrize("key, value", [
+    ("ratio", 1.1), ("ratio", True), ("ratio", "1.5"),
+    ("budget", True), ("budget", 2.9), ("budget", "5"), ("budget", -3),
+])
+def test_folner_malformed_ratio_or_budget_is_bad_input(tmp_path, capsys, key, value):
+    infile = write(tmp_path, "folner.json", {**README_FOLNER, key: value})
+    out = tmp_path / "out.json"
+    assert main(["folner", "--in", infile, "--out", str(out)]) == 1
+    assert "bad input:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_solve_negative_budget_is_bad_input(tmp_path, capsys):
+    infile = write(tmp_path, "fn.json", footnote_json())
+    assert main(["solve", "--in", infile, "--budget", "-1"]) == 1
+    assert "bad input:" in capsys.readouterr().err
+
+
 # --- graded-verify -----------------------------------------------------------
 
 
@@ -565,6 +592,17 @@ def test_graded_verify_fixtures(tmp_path):
     assert main(["graded-verify", "--fixture", "intconst-poly", "--g", "-1", "--out", out]) == 0
     rep = json.loads(open(out).read())
     assert rep["strongly_graded_witness_found"] is False
+
+
+@pytest.mark.parametrize("fixture, grade", [
+    ("group-ring", "aB"), ("group-ring", "1"), ("group-ring", "3"), ("group-ring", "0"),
+    ("sign-graded", "aB"), ("intconst-poly", "aB"),
+])
+def test_graded_verify_bad_grade_is_bad_input(tmp_path, capsys, fixture, grade):
+    out = tmp_path / "out.json"
+    assert main(["graded-verify", "--fixture", fixture, "--g", grade, "--out", str(out)]) == 1
+    assert "bad input:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # --- embed-cert --------------------------------------------------------------

@@ -286,3 +286,62 @@ def test_integer_solve_outputs(tmp_path, case):
 @pytest.mark.parametrize("case", sorted(FIELD_SOLVE))
 def test_field_solve_outputs(tmp_path, case):
     assert run_input_file(tmp_path, case) == FIELD_SOLVE[case]
+
+
+# recorded with strongly_graded_check dispatching on the fixture a second
+# time; group-ring grades are words ("a B"), the other fixtures' are ints
+GRADED_VERIFY = {
+    ("group-ring",): "b6a8381407e6645da2eaac59831ac575261addd93acf072f00c7b517aad68d7c",
+    ("group-ring", "a B"): "cfc41c3d770567e7c2b3a4a56b68570f6c5fc9dc2d30f78e3b8eef79e58edd5c",
+    ("sign-graded",): "0851f4de42da713fef1f5acc91559a0b6914fc87df4b72124d615f8d70c0bc22",
+    ("sign-graded", "1"): "92fd20dc3f0d257e95700de1c44427995b6cdfe49afc3a93150e95aff04009b9",
+    ("sign-graded", "3"): "c0aff46a4fe64556145dca52a881add7723a33128e9ed3f934c76ff7290049bd",
+    ("sign-graded", "0"): "fbedd69e0c540a9c48ec2076673d553cdddf92f6b7cf78f1647e44c47183c367",
+    ("intconst-poly",): "f0a7785c47e9b9c3670d4e9adbf1c0daace62fb182cd9b515bea3ff214061183",
+    ("intconst-poly", "1"): "7f53418c875fa3a64dc1d11615079da7b0d98d5bf778f6d3206e4d31cd3c77ec",
+    ("intconst-poly", "3"): "d79ab7ef303c844bfc48d65253a50e64561f58e964244a07b444c385e5b5b91c",
+    ("intconst-poly", "0"): "dd214a3d1af5361a5609ec0635296153744c575e054c6f7dd8b1b5c1b0024cec",
+}
+
+
+@pytest.mark.parametrize("case", sorted(GRADED_VERIFY), ids=" ".join)
+def test_graded_verify_outputs(tmp_path, case):
+    fixture, *grade = case
+    out = str(tmp_path / "out.json")
+    argv = ["graded-verify", "--fixture", fixture] + (["--g", *grade] if grade else [])
+    assert main(argv + ["--out", out]) == 0
+    with open(out) as fh:
+        assert digest(json.load(fh)) == GRADED_VERIFY[case]
+
+
+S3 = {"family": "symmetric", "n": 3}
+INPUT_FILES["ideal"] = {
+    "readme": {"group": {"family": "abelian", "rank": 1}, "h": [[2]], "k": [[3]],
+               "r": [[[0], "1"], [[2], "-1"]]},
+    "h_in_k": {"group": {"family": "abelian", "rank": 1}, "h": [[4]], "k": [[2]]},
+    "k_in_h": {"group": S3, "h": [[2, 1, 3], [2, 3, 1]], "k": [[2, 3, 1]]},
+    "incomparable": {"group": S3, "h": [[2, 1, 3]], "k": [[2, 3, 1]]},
+    "equal": {"group": S3, "h": [[2, 3, 1]], "k": [[3, 1, 2]]},
+}
+INPUT_FILES["folner"]["readme"] = {
+    "group": {"family": "abelian", "rank": 2},
+    "s": [[0, 0], [1, 0], [-1, 0], [0, 1], [0, -1]],
+    "ratio": "2",
+    "budget": 20,
+}
+
+# recorded with distinguish_subgroups' two mirrored sampling loops; the
+# relation each case reaches is in its name (the README's is incomparable)
+IDEAL_AND_FOLNER = {
+    "ideal readme": "976a6d25ed7929860644b66d2060d1dca3e19c112f3488e1487c9e01a8f5cc90",
+    "ideal h_in_k": "0b7d967d82fea551aef2d371f224b9807cc9d60209a20c6358eba1e859ff61cb",
+    "ideal k_in_h": "1b3d272374115cec0c5137efe8af97c2d59670c593fe7ff1388ef7811c03b678",
+    "ideal incomparable": "a5338da8d187cc4da97a57d6f63606c385d272d00aa8aeb78e2a6b4ae6263302",
+    "ideal equal": "6b68d8346aebce1a7b524f85ef35c724ee3d1d0437cbae7442dbf9e1d38557c9",
+    "folner readme": "4db9a9aaeff37f5c2c56a0c98aacf33986831627e30bc2235e3b6838aae751dd",
+}
+
+
+@pytest.mark.parametrize("case", sorted(IDEAL_AND_FOLNER))
+def test_ideal_and_folner_outputs(tmp_path, case):
+    assert run_input_file(tmp_path, case) == IDEAL_AND_FOLNER[case]

@@ -52,9 +52,20 @@ def test_symmetric_composition():
 
 def test_bad_table_rejected():
     els = [0, 1]
-    table = {(a, b): 0 for a in els for b in els}
     with pytest.raises(ValueError):
-        FiniteGroup(els, table)
+        FiniteGroup(els, [[0, 0], [0, 0]])
+
+
+def rows_of(elements, table):
+    """Index rows for a dict table; a product outside the elements, or none,
+    becomes the out-of-range position n."""
+    pos = {g: i for i, g in enumerate(elements)}
+    return [[pos.get(table.get((g, h)), len(elements)) for h in elements] for g in elements]
+
+
+def table_of(G):
+    """The product of G as a dict {(g, h): g*h}."""
+    return {(g, h): G.mul(g, h) for g in G.elements for h in G.elements}
 
 
 def old_group_check(elements, table):
@@ -92,7 +103,7 @@ def test_non_associative_loop_rejected():
     assert all(LOOP_5[a][0] == LOOP_5[0][a] == a and LOOP_5[a][a] == 0 for a in els)
     assert old_group_check(els, table) == "multiplication table is not associative"
     with pytest.raises(ValueError, match="not associative"):
-        FiniteGroup(els, table)
+        FiniteGroup(els, LOOP_5)
 
 
 def test_non_associativity_away_from_first_generator_rejected():
@@ -105,7 +116,7 @@ def test_non_associativity_away_from_first_generator_rejected():
                for a in els for c in els)
     assert old_group_check(els, table) == "multiplication table is not associative"
     with pytest.raises(ValueError, match="not associative"):
-        FiniteGroup(els, table)
+        FiniteGroup(els, rows_of(els, table))
 
 
 def test_known_groups_accepted():
@@ -123,15 +134,15 @@ BASE_GROUPS = [FiniteGroup.cyclic(n) for n in range(1, 8)] + [FiniteGroup.symmet
 def test_one_changed_entry_rejected_exactly_when_old_check_rejects(data):
     G = data.draw(st.sampled_from(BASE_GROUPS))
     els = list(G.elements)
-    key = data.draw(st.sampled_from(sorted(G.table)))
-    table = dict(G.table)
+    table = table_of(G)
+    key = data.draw(st.sampled_from(sorted(table)))
     table[key] = data.draw(st.sampled_from(els + ["x"]))
     expected = old_group_check(els, table)
     if expected is None:
-        assert FiniteGroup(els, table).table == table
+        assert table_of(FiniteGroup(els, rows_of(els, table))) == table
     else:
         with pytest.raises(ValueError) as exc:
-            FiniteGroup(els, table)
+            FiniteGroup(els, rows_of(els, table))
         assert str(exc.value) == expected
 
 
@@ -148,10 +159,10 @@ def test_one_changed_entry_through_rows_matches_old_check(data):
              for a, g in enumerate(els) for b, h in enumerate(els)}
     expected = old_group_check(els, table)
     if expected is None:
-        assert FiniteGroup.from_rows(els, rows).table == table
+        assert table_of(FiniteGroup(els, rows)) == table
     else:
         with pytest.raises(ValueError) as exc:
-            FiniteGroup.from_rows(els, rows)
+            FiniteGroup(els, rows)
         assert str(exc.value) == expected
 
 
@@ -160,11 +171,8 @@ def test_declared_generators_are_verified_not_trusted():
     # declared generators alone would pass, so the walk must extend them
     els = sorted(itertools.product(range(2), range(5)), key=lambda g: g[::-1])
     table = {(g, h): ((g[0] + h[0]) % 2, LOOP_5[g[1]][h[1]]) for g in els for h in els}
-    rows = [[els.index(table[g, h]) for h in els] for g in els]
     with pytest.raises(ValueError, match="not associative"):
-        FiniteGroup(els, table, generators=[(1, 0)])
-    with pytest.raises(ValueError, match="not associative"):
-        FiniteGroup.from_rows(els, rows, generators=[(1, 0)])
+        FiniteGroup(els, rows_of(els, table), generators=[(1, 0)])
 
 
 def test_symmetric_is_composition_and_cyclic_is_addition():
@@ -176,7 +184,7 @@ def test_symmetric_is_composition_and_cyclic_is_addition():
     for n in range(1, 13):
         C = FiniteGroup.cyclic(n)
         assert all(C.mul(a, b) == (a + b) % n for a in range(n) for b in range(n))
-        assert C == FiniteGroup(range(n), {(a, b): (a + b) % n for a in range(n) for b in range(n)})
+        assert C == FiniteGroup(range(n), [[(a + b) % n for b in range(n)] for a in range(n)])
 
 
 def test_ball_sizes_free():

@@ -381,7 +381,7 @@ def test_field_above_the_cap_skips_the_tables(monkeypatch):
     monkeypatch.setattr(coeff, "_tables", built.append)  # and index_field() gives None
     big = ExtField(2, 21, (1, 0, 1) + (0,) * 18 + (1,))  # x^21 + x^2 + 1
     assert big.order > coeff.TABLE_ORDER_CAP
-    one, x = big.one, big.gen()
+    one, x = big.one, big.from_index(big.p)
     # column 1 is x times column 0
     columns = [{0: one, 1: x}, {0: x, 1: big.mul(x, x)}, {1: big.add(one, x)}]
     assert list(kernel_vectors(columns, big)) == [[x, one, big.zero]]
