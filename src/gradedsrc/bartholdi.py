@@ -338,13 +338,13 @@ def verify_alphas(fam: AlphaFamily, sys: SetSystem) -> AlphaReport:
 
 
 class ThetaMap:
-    """Theta: L[F_2]^|Y| -> L[F_2]^|Y| as a |Y| x |Y| ``matrix`` over L[F_2]
-    whose entry (y, y') is sum_s A_s[y][y'] * b_s."""
+    """Theta: L[F_2]^|Y| -> L[F_2]^|Y| as a |Y| x |Y| ``matrix`` over
+    ``ring`` = L[group] whose entry (y, y') is sum_s A_s[y][y'] * b_s."""
 
-    def __init__(self, alphas: AlphaFamily, b: dict, ring: GroupRing):
+    def __init__(self, alphas: AlphaFamily, b: dict, group):
         self.alphas = alphas
-        self.b = b  # label -> group element, pairwise distinct
-        self.ring = ring
+        self.b = b = dict(b)  # label -> group element, pairwise distinct
+        self.ring = ring = GroupRing(group, alphas.field)
         vals = list(b.values())
         if len(set(vals)) != len(vals):
             raise ValueError("the b_s must be pairwise distinct")
@@ -365,10 +365,6 @@ def letter_b(labels) -> dict:
     repeating from the fifth label on (which ``ThetaMap`` rejects)."""
     pool = [(1,), (-1,), (2,), (-2,)]
     return {s: pool[i % len(pool)] for i, s in enumerate(labels)}
-
-
-def build_theta(fam: AlphaFamily, b: dict, group) -> ThetaMap:
-    return ThetaMap(fam, dict(b), GroupRing(group, fam.field))
 
 
 def theta_apply(theta: ThetaMap, u):

@@ -1,8 +1,10 @@
 """Command-line entry point: JSON in, JSON out, reproducible seeds.
 
-Exit codes: 0 success, 1 malformed input or a usage error (such as a
-missing required option or an unknown command), 2 Folner search exhausted,
-3 set-system search exhausted.
+Each ``cmd_*`` function returns its report; ``main`` alone stamps the
+report's provenance with the command and version, emits it, and maps
+exceptions to exit codes: 0 success, 1 malformed input or a usage error
+(such as a missing required option or an unknown command), 2 Folner search
+exhausted, 3 set-system search exhausted.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import tempfile
 
 from . import __version__
 from .bartholdi import (
-    build_theta,
+    ThetaMap,
     construct_alphas,
     footnote_kernel,
     letter_b,
@@ -34,7 +36,7 @@ from .gring import (
     sign_graded_witness,
 )
 from .groups import FiniteSubset, FreeGroup, folner_search
-from .ideals import SubgroupHandle, distinguish_subgroups, ideal_membership_IH
+from .ideals import distinguish_subgroups, ideal_membership_IH
 from .serialize import (
     coeff_from_json,
     group_from_json,
@@ -61,42 +63,28 @@ def load_json(path: str) -> dict:
         return json.load(fh)
 
 
-def cmd_solve(args) -> int:
+def cmd_solve(args) -> dict:
     sys_obj = system_from_json(load_json(args.infile))
-    try:
-        sol = solve_src(sys_obj, budget=args.budget)
-    except FolnerNotFound as exc:
-        print(f"folner search failed: {exc}", file=sys.stderr)
-        return 2
-    provenance = {
-        "command": "solve",
-        "budget": args.budget,
-        "row_order": "SF canonical, then equation index",
-        "col_order": "F canonical, then unknown index",
-        "version": __version__,
-    }
-    emit(solution_to_json(sys_obj.ring, sol.xs, sol.verified, provenance), args.out)
-    return 0
+    sol = solve_src(sys_obj, budget=args.budget)
+    provenance = {"budget": args.budget, "row_order": "SF canonical, then equation index",
+                  "col_order": "F canonical, then unknown index"}
+    return solution_to_json(sys_obj.ring, sol.xs, sol.verified, provenance)
 
 
-def cmd_theta(args) -> int:
+def cmd_theta(args) -> dict:
     if args.s > 4:  # letter_b would repeat a letter, which ThetaMap rejects
         raise ValueError(f"--s {args.s}: theta takes at most 4 labels, "
                          "one per letter a, A, b, B of F_2")
-    try:
-        system = search_set_system(args.s, args.ymax)
-    except SetSystemNotFound as exc:
-        print(f"set-system search failed: {exc}", file=sys.stderr)
-        return 3
+    system = search_set_system(args.s, args.ymax)
     K = ff_extend(args.field, 1)
     fam = construct_alphas(system, K, seed=args.seed)
     verify = verify_alphas(fam, system)
     G = FreeGroup(2)
     labels = list(system.labels)
     b = letter_b(labels)
-    theta = build_theta(fam, b, G)
+    theta = ThetaMap(fam, b, G)
     cert = theta_certify(theta, args.radius)
-    report = {
+    return {
         "set_system": system.to_json(),
         "alpha": fam.to_json(),
         "alpha_verified": verify.ok,
@@ -112,20 +100,12 @@ def cmd_theta(args) -> int:
             if cert.witness is None
             else [theta.ring.elem_to_json(x) for x in cert.witness],
         },
-        "provenance": {
-            "command": "theta",
-            "seed": args.seed,
-            "ymax": args.ymax,
-            "field": args.field,
-            "radius": args.radius,
-            "version": __version__,
-        },
+        "provenance": {"seed": args.seed, "ymax": args.ymax, "field": args.field,
+                       "radius": args.radius},
     }
-    emit(report, args.out)
-    return 0
 
 
-def cmd_folner(args) -> int:
+def cmd_folner(args) -> dict:
     obj = load_json(args.infile)
     G = group_from_json(obj["group"])
     S = FiniteSubset.of(G, (G.elem_from_json(g) for g in obj["s"]))
@@ -133,28 +113,20 @@ def cmd_folner(args) -> int:
     budget = obj.get("budget", args.budget)
     if not _is_int(budget):
         raise ValueError(f"folner 'budget' must be an int, not {budget!r}")
-    try:
-        F, SF = folner_search(G, S, ratio, budget)
-    except FolnerNotFound as exc:
-        print(f"folner search failed: {exc}", file=sys.stderr)
-        return 2
-    emit(
-        {
-            "group": G.to_json(),
-            "f": [G.elem_to_json(g) for g in F],
-            "sizes": {"f": len(F), "sf": len(SF)},
-            "ratio_bound": str(ratio),
-            "provenance": {"command": "folner", "budget": budget, "version": __version__},
-        },
-        args.out,
-    )
-    return 0
+    F, SF = folner_search(G, S, ratio, budget)
+    return {
+        "group": G.to_json(),
+        "f": [G.elem_to_json(g) for g in F],
+        "sizes": {"f": len(F), "sf": len(SF)},
+        "ratio_bound": str(ratio),
+        "provenance": {"budget": budget},
+    }
 
 
-def cmd_graded_verify(args) -> int:
+def cmd_graded_verify(args) -> dict:
     if args.fixture == "group-ring":
         ring = GroupRing(FreeGroup(2), QQ)
-        g = ring.group.elem_from_json(args.g or "a")
+        g = ring.group.elem_from_json("a" if args.g is None else args.g)
         rep = group_ring_witness(ring, g)
         witness = [[ring.elem_to_json(u), ring.elem_to_json(v)] for u, v in rep.witness]
         grade = ring.group.elem_to_json(g)
@@ -172,53 +144,42 @@ def cmd_graded_verify(args) -> int:
         rep = intconst_witness(IntConstPolyRing(), g)
         witness = None if rep.witness is None else "[1 * 1]"
         grade = g
-    emit(
-        {
-            "fixture": args.fixture,
-            "grade": grade,
-            "strongly_graded_witness_found": rep.ok,
-            "witness": witness,
-            "reason": rep.reason,
-            "provenance": {"command": "graded-verify", "version": __version__},
-        },
-        args.out,
-    )
-    return 0
+    return {
+        "fixture": args.fixture,
+        "grade": grade,
+        "strongly_graded_witness_found": rep.ok,
+        "witness": witness,
+        "reason": rep.reason,
+        "provenance": {},
+    }
 
 
-def cmd_embed_cert(args) -> int:
+def cmd_embed_cert(args) -> dict:
     coeff = ZZ if args.coeff == "Z" else QQ
     ring = GroupRing(FreeGroup(2), coeff)
     report = footnote_kernel(ring, args.radius)
-    emit(
-        {
-            "coeff": args.coeff,
-            "radius": args.radius,
-            "columns": report.ncols,
-            "rank": report.rank,
-            "kernel_dimension": len(report.basis),
-            "injective_up_to_radius": not report.basis,
-            "provenance": {"command": "embed-cert", "version": __version__},
-        },
-        args.out,
-    )
-    return 0
+    return {
+        "coeff": args.coeff,
+        "radius": args.radius,
+        "columns": report.ncols,
+        "rank": report.rank,
+        "kernel_dimension": len(report.basis),
+        "injective_up_to_radius": not report.basis,
+        "provenance": {},
+    }
 
 
-def cmd_ideal(args) -> int:
+def cmd_ideal(args) -> dict:
     obj = load_json(args.infile)
     G = group_from_json(obj["group"])
     ring = GroupRing(G, coeff_from_json(obj.get("coeff", {"ring": "Q"})))
-    H = SubgroupHandle.create(G, [G.elem_from_json(g) for g in obj["h"]])
-    out = {
-        "group": G.to_json(),
-        "provenance": {"command": "ideal", "seed": args.seed, "version": __version__},
-    }
+    H = G.cosets([G.elem_from_json(g) for g in obj["h"]])
+    out = {"group": G.to_json(), "provenance": {"seed": args.seed}}
     if "r" in obj:
         r = ring.elem_from_json(obj["r"])
         out["membership"] = ideal_membership_IH(r, H)
     if "k" in obj:
-        K = SubgroupHandle.create(G, [G.elem_from_json(g) for g in obj["k"]])
+        K = G.cosets([G.elem_from_json(g) for g in obj["k"]])
         rep = distinguish_subgroups(H, K, ring, seed=args.seed)
         out["distinguish"] = {
             "relation": rep.relation,
@@ -227,8 +188,7 @@ def cmd_ideal(args) -> int:
             "witness": None if rep.witness is None else ring.elem_to_json(rep.witness),
             "witness_in": rep.witness_in,
         }
-    emit(out, args.out)
-    return 0
+    return out
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -288,7 +248,16 @@ def main(argv=None) -> int:
             return 1
         raise
     try:
-        return args.fn(args)
+        report = args.fn(args)
+        report["provenance"].update(command=args.command, version=__version__)
+        emit(report, args.out)
+        return 0
+    except FolnerNotFound as exc:
+        print(f"folner search failed: {exc}", file=sys.stderr)
+        return 2
+    except SetSystemNotFound as exc:
+        print(f"set-system search failed: {exc}", file=sys.stderr)
+        return 3
     except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
         print(f"bad input: {exc}", file=sys.stderr)
         return 1

@@ -459,18 +459,17 @@ class AbelianCosets:
 
     def __init__(self, G: FreeAbelian, generators):
         self.group = G
+        self.generators = tuple(generators)
         d = G.rank
-        basis = hermite_normal_form(generators, d)
+        basis = hermite_normal_form(self.generators, d)
         if len(basis) != d:
             raise InfiniteIndex("subgroup generators do not have full rank")
         self.basis = [row for _, row in basis]
         diagonal = [row[i] for i, row in enumerate(self.basis)]
         self.num_cosets = math.prod(diagonal)
-        # the box below the diagonal is not canonical yet: reduce each vector
-        # (upper rows can shift later coordinates)
-        corner = itertools.product(*map(range, diagonal))
-        self.representatives = sorted({self.reduce(v) for v in corner})
-        assert len(self.representatives) == self.num_cosets
+        # the basis is upper triangular with a positive diagonal, so reduce
+        # fixes each vector of the corner box, which product lists sorted
+        self.representatives = list(itertools.product(*map(range, diagonal)))
         self._index = {rep: i for i, rep in enumerate(self.representatives)}
 
     def reduce(self, v):
@@ -493,7 +492,8 @@ class FiniteCosets:
 
     def __init__(self, G: FiniteGroup, generators):
         self.group = G
-        gens = list(generators) + [G.inv(g) for g in generators]
+        self.generators = tuple(generators)
+        gens = self.generators + tuple(map(G.inv, self.generators))
         sub = _bfs(G.mul, [G.identity], gens)
         self.subgroup = FiniteSubset.of(G, sub)
         self.cosets = []

@@ -2,7 +2,8 @@
 
 I_H consists of the elements whose coefficient sum over every right coset of
 H vanishes; H <= K refines cosets, so I_H <= I_K, and delta_h - delta_1
-separates membership.
+separates membership.  A subgroup H is given by its coset classifier
+``G.cosets(generators)``, which keeps the generators and classifies cosets.
 """
 
 from __future__ import annotations
@@ -13,32 +14,14 @@ from .gring import GRElement, GroupRing
 from .groups import ball
 
 
-class SubgroupHandle:
-    def __init__(self, group, generators: tuple, classifier):
-        self.group = group
-        self.generators = generators
-        self.classifier = classifier
-
-    @classmethod
-    def create(cls, group, generators) -> "SubgroupHandle":
-        return cls(group, tuple(generators), group.cosets(generators))
-
-    def contains(self, g) -> bool:
-        return self.classifier.contains(g)
-
-    def member_elements(self):
-        """Finite list of subgroup members when available (finite groups)."""
-        return list(getattr(self.classifier, "subgroup", self.generators))
-
-
-def ideal_membership_IH(r: GRElement, H: SubgroupHandle) -> bool:
+def ideal_membership_IH(r: GRElement, H) -> bool:
     """True iff every right-coset coefficient sum of r vanishes."""
     if r.ring.group != H.group:
         raise ValueError("element and subgroup live over different groups")
     R = r.ring.coeff
     sums = {}
     for g, c in r.terms.items():
-        idx = H.classifier.index(g)
+        idx = H.index(g)
         sums[idx] = R.add(sums.get(idx, R.zero), c)
     return all(R.is_zero(v) for v in sums.values())
 
@@ -48,7 +31,7 @@ def separator(ring: GroupRing, g) -> GRElement:
     return ring.delta(g) - ring.one()
 
 
-def random_ideal_element(ring: GroupRing, H: SubgroupHandle, rng: random.Random,
+def random_ideal_element(ring: GroupRing, H, rng: random.Random,
                          radius: int = 3, terms: int = 4) -> GRElement:
     """Random member of I_H: a sum of coefficient-weighted differences of
     elements lying in a common coset."""
@@ -74,20 +57,21 @@ class DistinguishReport:
         self.ok = ok
 
 
-def subgroup_leq(H: SubgroupHandle, K: SubgroupHandle) -> bool:
+def subgroup_leq(H, K) -> bool:
     return all(K.contains(g) for g in H.generators)
 
 
-def _escape_element(H: SubgroupHandle, K: SubgroupHandle):
-    """Some member of H outside K (H not contained in K)."""
-    for g in H.member_elements():
+def _escape_element(H, K):
+    """Some member of H outside K (H not contained in K); a finite group's
+    classifier lists all of H, otherwise a generator escapes."""
+    for g in getattr(H, "subgroup", H.generators):
         if not K.contains(g):
             return g
     raise AssertionError("no escaping element found despite non-containment")
 
 
-def distinguish_subgroups(H: SubgroupHandle, K: SubgroupHandle, ring: GroupRing,
-                          sample_budget: int = 50, seed: int = 0) -> DistinguishReport:
+def distinguish_subgroups(H, K, ring: GroupRing, sample_budget: int = 50,
+                          seed: int = 0) -> DistinguishReport:
     """Containment verification on samples, or an explicit separating element."""
     rng = random.Random(seed)
     h_in_k = subgroup_leq(H, K)

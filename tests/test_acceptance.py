@@ -11,7 +11,7 @@ import time
 from fractions import Fraction
 
 from gradedsrc.bartholdi import (
-    build_theta,
+    ThetaMap,
     construct_alphas,
     search_set_system,
     theta_apply,
@@ -39,7 +39,6 @@ from gradedsrc.groups import (
     product_set,
 )
 from gradedsrc.ideals import (
-    SubgroupHandle,
     distinguish_subgroups,
     ideal_membership_IH,
     random_ideal_element,
@@ -305,7 +304,7 @@ def test_criterion_6_point_and_alphas():
 
 def _run_criterion_7():
     system, fam, _, _ = _run_criterion_6()
-    theta = build_theta(fam, {0: (1,), 1: (-1,)}, F2)
+    theta = ThetaMap(fam, {0: (1,), 1: (-1,)}, F2)
     certs = [theta_certify(theta, r) for r in (0, 1)]
     payload = json.dumps(
         [
@@ -381,7 +380,7 @@ def test_criterion_9_ideals():
     closure_ok = True
     pool = list(ball(Zgrp, 3))
     subgroups = {
-        k: SubgroupHandle.create(Zgrp, [(k,)]) for k in (2, 3, 6)
+        k: Zgrp.cosets([(k,)]) for k in (2, 3, 6)
     }
     for H in subgroups.values():
         for _ in range(100):
@@ -394,8 +393,8 @@ def test_criterion_9_ideals():
             closure_ok = closure_ok and ideal_membership_IH(r1 * mult, H)
     sring = GroupRing(S3, ZZ)
     s3_subs = [
-        SubgroupHandle.create(S3, [(1, 0, 2)]),
-        SubgroupHandle.create(S3, [(1, 2, 0)]),
+        S3.cosets([(1, 0, 2)]),
+        S3.cosets([(1, 2, 0)]),
     ]
     s3_pool = list(S3.elements)
     for H in s3_subs:

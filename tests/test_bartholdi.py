@@ -12,7 +12,6 @@ from gradedsrc.bartholdi import (
     SetSystem,
     ThetaMap,
     admissible_families,
-    build_theta,
     construct_alphas,
     find_point,
     footnote_embedding,
@@ -39,7 +38,7 @@ def alphas10(system10):
 
 @pytest.fixture(scope="module")
 def theta10(alphas10):
-    return build_theta(alphas10, {0: (1,), 1: (-1,)}, F2)
+    return ThetaMap(alphas10, {0: (1,), 1: (-1,)}, F2)
 
 
 # --- set systems -------------------------------------------------------------
@@ -259,7 +258,7 @@ def test_alpha_families_get_their_own_provenance(system10, alphas10):
 
 def test_theta_rejects_repeated_b(alphas10):
     with pytest.raises(ValueError, match="pairwise distinct"):
-        ThetaMap(alphas10, {0: (1,), 1: (1,)}, GroupRing(F2, alphas10.field))
+        ThetaMap(alphas10, {0: (1,), 1: (1,)}, F2)
 
 
 def test_theta_zero_input(theta10):
@@ -338,7 +337,7 @@ def test_theta_degenerate_family_has_witness(system10, alphas10):
     matrices = {s: [row[:] for row in alphas10.matrices[s]] for s in system10.labels}
     matrices[1] = [[L.zero] * 10 for _ in range(10)]  # zero one alpha entirely
     degenerate = AlphaFamily(L, system10, matrices)
-    theta = build_theta(degenerate, {0: (1,), 1: (-1,)}, F2)
+    theta = ThetaMap(degenerate, {0: (1,), 1: (-1,)}, F2)
     rep = theta_certify(theta, 0)
     assert not rep.injective
     assert rep.witness is not None

@@ -594,6 +594,15 @@ def test_graded_verify_fixtures(tmp_path):
     assert rep["strongly_graded_witness_found"] is False
 
 
+def test_graded_verify_identity_grade(tmp_path):
+    # "" is the identity word of F_2, not an omitted --g
+    out = str(tmp_path / "gv.json")
+    assert main(["graded-verify", "--fixture", "group-ring", "--g", "", "--out", out]) == 0
+    rep = json.loads(open(out).read())
+    assert rep["grade"] == ""
+    assert rep["strongly_graded_witness_found"] is True and rep["witness"]
+
+
 @pytest.mark.parametrize("fixture, grade", [
     ("group-ring", "aB"), ("group-ring", "1"), ("group-ring", "3"), ("group-ring", "0"),
     ("sign-graded", "aB"), ("intconst-poly", "aB"),
@@ -659,6 +668,56 @@ def test_outputs_byte_identical(tmp_path):
     assert main(args + ["--out", t1]) == 0
     assert main(args + ["--out", t2]) == 0
     assert open(t1, "rb").read() == open(t2, "rb").read()
+
+
+# --- failure paths -------------------------------------------------------------
+
+
+FREE_FOLNER = {"group": {"family": "free", "rank": 2}, "s": ["", "a", "A", "b", "B"],
+               "ratio": "2", "budget": 3}
+FP4_SYSTEM = {**one_pm_t_json(), "coeff": {"ring": "Fp", "p": 4}}
+NO_FILE = "bad input: [Errno 2] No such file or directory: "
+
+
+# (argv, input files to write, exit code, stderr): each failure prints one
+# stderr line, nothing on stdout, and writes no --out file
+FAILURES = {
+    "folner-exhausted": (["folner", "--in", "free.json"], {"free.json": FREE_FOLNER}, 2,
+                         "folner search failed: no ball of radius <= 3 meets the bound\n"),
+    "solve-exhausted": (["solve", "--in", "fn.json", "--budget", "3"],
+                        {"fn.json": footnote_json()}, 2,
+                        "folner search failed: no ball of radius <= 3 meets the bound\n"),
+    "theta-exhausted": (["theta", "--s", "2", "--ymax", "3"], {}, 3,
+                        "set-system search failed: no admissible system with |Y| <= 3\n"),
+    "fp-not-prime": (["solve", "--in", "fp4.json"], {"fp4.json": FP4_SYSTEM}, 1,
+                     "error: 4 is not prime\n"),
+    "missing-in": (["solve", "--in", "missing.json"], {}, 1,
+                   NO_FILE + "'{dir}/missing.json'\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAILURES))
+def test_failure_path_pinned(tmp_path, capsys, case):
+    argv, files, code, err = FAILURES[case]
+    for name, obj in files.items():
+        write(tmp_path, name, obj)
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    out = tmp_path / "out.json"
+    assert main(argv + ["--out", str(out)]) == code
+    captured = capsys.readouterr()
+    assert captured.err == err.format(dir=tmp_path)
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_out_into_missing_directory_is_bad_input(tmp_path, capsys):
+    out = tmp_path / "missing" / "cert.json"
+    assert main(["embed-cert", "--radius", "1", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    # the rest of the line names a temp file with a random name
+    assert captured.err.startswith(NO_FILE) and captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert not out.parent.exists()
 
 
 # --- the README's CLI examples -----------------------------------------------

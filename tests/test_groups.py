@@ -281,6 +281,39 @@ def test_cosets_infinite_index():
         Z2.cosets([(2, 0)])
 
 
+def leibniz_det(rows):
+    d = len(rows)
+    total = 0
+    for perm in itertools.permutations(range(d)):
+        inversions = sum(perm[i] > perm[j] for i in range(d) for j in range(i + 1, d))
+        total += (-1) ** inversions * math.prod(rows[i][perm[i]] for i in range(d))
+    return total
+
+
+@st.composite
+def full_rank_lattices(draw):
+    """(generators, g, integer coefficients) for a full-rank sublattice of Z^2 or Z^3."""
+    d = draw(st.sampled_from([2, 3]))
+    entry = st.integers(-4, 4)
+    gens = draw(st.lists(st.tuples(*[entry] * d), min_size=d, max_size=d)
+                .filter(lambda rows: leibniz_det(rows) != 0))
+    g = draw(st.tuples(*[st.integers(-20, 20)] * d))
+    coeffs = draw(st.lists(st.integers(-5, 5), min_size=d, max_size=d))
+    return gens, g, coeffs
+
+
+@given(full_rank_lattices())
+def test_abelian_coset_representatives_are_the_corner_box(case):
+    gens, g, coeffs = case
+    d = len(g)
+    c = FreeAbelian(d).cosets(gens)
+    assert all(c.reduce(v) == v for v in c.representatives)
+    assert len(c.representatives) == c.num_cosets == abs(leibniz_det(gens))
+    lattice_vector = [sum(k * row[i] for k, row in zip(coeffs, gens)) for i in range(d)]
+    assert c.contains(tuple(lattice_vector))
+    assert c.index(g) == c.index(tuple(a + b for a, b in zip(g, lattice_vector)))
+
+
 words = st.lists(st.sampled_from([1, -1, 2, -2]), max_size=8)
 
 

@@ -7,7 +7,6 @@ from gradedsrc.coeff import QQ, ZZ
 from gradedsrc.gring import GroupRing
 from gradedsrc.groups import FiniteGroup, FreeAbelian, ball
 from gradedsrc.ideals import (
-    SubgroupHandle,
     distinguish_subgroups,
     ideal_membership_IH,
     random_ideal_element,
@@ -24,7 +23,7 @@ def qz_ring():
 
 
 def H(group, *gens):
-    return SubgroupHandle.create(group, gens)
+    return group.cosets(gens)
 
 
 def test_membership_even_difference(qz_ring):
@@ -45,7 +44,7 @@ def test_membership_full_group_is_augmentation(qz_ring):
 
 
 def test_mismatched_group_rejected(qz_ring):
-    K = SubgroupHandle.create(FreeAbelian(2), [(2, 0), (0, 2)])
+    K = FreeAbelian(2).cosets([(2, 0), (0, 2)])
     with pytest.raises(ValueError):
         ideal_membership_IH(qz_ring.one(), K)
 
