@@ -191,49 +191,58 @@ def cmd_ideal(args) -> dict:
     return out
 
 
-def build_parser() -> argparse.ArgumentParser:
+# per command: its help line, its function, and its options' flags and keywords
+_COMMANDS = {
+    "solve": ("solve an underdetermined group-ring system", cmd_solve, [
+        (("--in",), {"dest": "infile", "required": True}),
+        (("--out",), {"default": None}),
+        (("--budget",), {"type": int, "default": 64}),
+    ]),
+    "theta": ("set-system search, alpha construction, Theta certificate", cmd_theta, [
+        (("--s",), {"type": int, "default": 2}),
+        (("--ymax",), {"type": int, "default": 10}),
+        (("--field",), {"type": int, "default": 2}),
+        (("--seed",), {"type": int, "default": 0}),
+        (("--radius",), {"type": int, "default": 1}),
+        (("--out",), {"default": None}),
+    ]),
+    "folner": ("search for a set meeting a ratio bound", cmd_folner, [
+        (("--in",), {"dest": "infile", "required": True}),
+        (("--out",), {"default": None}),
+        (("--budget",), {"type": int, "default": 64}),
+    ]),
+    "graded-verify": ("strong-grading witness for a fixture", cmd_graded_verify, [
+        (("--fixture",), {"choices": ["group-ring", "sign-graded", "intconst-poly"],
+                          "default": "sign-graded"}),
+        (("--g",), {"default": None}),
+        (("--out",), {"default": None}),
+    ]),
+    "embed-cert": ("truncated kernel of the rank-two embedding", cmd_embed_cert, [
+        (("--coeff",), {"choices": ["Q", "Z"], "default": "Q"}),
+        (("--radius",), {"type": int, "default": 2}),
+        (("--out",), {"default": None}),
+    ]),
+    "ideal": ("coset-sum ideal membership / subgroup distinction", cmd_ideal, [
+        (("--in",), {"dest": "infile", "required": True}),
+        (("--seed",), {"type": int, "default": 0}),
+        (("--out",), {"default": None}),
+    ]),
+}
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser of every command, or of ``command`` alone: that one parses
+    its command's argv as the full one does, with the same usage lines."""
     p = argparse.ArgumentParser(prog="gradedsrc")
-    sub = p.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("solve", help="solve an underdetermined group-ring system")
-    sp.add_argument("--in", dest="infile", required=True)
-    sp.add_argument("--out", default=None)
-    sp.add_argument("--budget", type=int, default=64)
-    sp.set_defaults(fn=cmd_solve)
-
-    sp = sub.add_parser("theta", help="set-system search, alpha construction, Theta certificate")
-    sp.add_argument("--s", type=int, default=2)
-    sp.add_argument("--ymax", type=int, default=10)
-    sp.add_argument("--field", type=int, default=2)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--radius", type=int, default=1)
-    sp.add_argument("--out", default=None)
-    sp.set_defaults(fn=cmd_theta)
-
-    sp = sub.add_parser("folner", help="search for a set meeting a ratio bound")
-    sp.add_argument("--in", dest="infile", required=True)
-    sp.add_argument("--out", default=None)
-    sp.add_argument("--budget", type=int, default=64)
-    sp.set_defaults(fn=cmd_folner)
-
-    sp = sub.add_parser("graded-verify", help="strong-grading witness for a fixture")
-    sp.add_argument("--fixture", choices=["group-ring", "sign-graded", "intconst-poly"],
-                    default="sign-graded")
-    sp.add_argument("--g", default=None)
-    sp.add_argument("--out", default=None)
-    sp.set_defaults(fn=cmd_graded_verify)
-
-    sp = sub.add_parser("embed-cert", help="truncated kernel of the rank-two embedding")
-    sp.add_argument("--coeff", choices=["Q", "Z"], default="Q")
-    sp.add_argument("--radius", type=int, default=2)
-    sp.add_argument("--out", default=None)
-    sp.set_defaults(fn=cmd_embed_cert)
-
-    sp = sub.add_parser("ideal", help="coset-sum ideal membership / subgroup distinction")
-    sp.add_argument("--in", dest="infile", required=True)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--out", default=None)
-    sp.set_defaults(fn=cmd_ideal)
+    # the full parser's metavar is its choices; the one-command parser names them all
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = p.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _COMMANDS if command is None else [command]:
+        help_line, fn, options = _COMMANDS[name]
+        sp = sub.add_parser(name, help=help_line)
+        for flags, keywords in options:
+            sp.add_argument(*flags, **keywords)
+        sp.set_defaults(fn=fn)
     return p
 
 
@@ -241,8 +250,11 @@ _parser = functools.cache(build_parser)  # parse_args leaves the parser as it is
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    # a named command needs only its own parser; anything else gets the full one
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        args = _parser().parse_args(argv)
+        args = _parser(command).parse_args(argv)
     except SystemExit as exc:
         if exc.code == 2:  # argparse's usage error; exit code 2 means Folner search exhausted
             return 1

@@ -156,7 +156,29 @@ def poly_is_irreducible(f, p) -> bool:
 # ring descriptors
 
 
-class _NamedRing:
+class _Ring:
+    """The row operation of the sparse kernel engine, from the descriptor's
+    own ``sub``, ``mul`` and ``is_zero``; fields with a cheaper inline form
+    override it."""
+
+    def axpy(self, acc, f, vec):
+        """acc -= f * vec in place on sparse dicts, dropping the entries that
+        cancel; returns the keys acc gained, in vec's order."""
+        zero, sub, mul, is_zero = self.zero, self.sub, self.mul, self.is_zero
+        gained = []
+        for k, b in vec.items():
+            a = acc.get(k)
+            s = sub(zero if a is None else a, mul(f, b))
+            if is_zero(s):
+                acc.pop(k, None)
+            else:
+                acc[k] = s
+                if a is None:
+                    gained.append(k)
+        return gained
+
+
+class _NamedRing(_Ring):
     """A ring without parameters: its instances are equal, and its name is
     its hash and its repr."""
 
@@ -287,6 +309,21 @@ class PrimeField:
     def is_zero(self, x):
         return x % self.p == 0
 
+    def axpy(self, acc, f, vec):
+        """``_Ring.axpy`` with the arithmetic inline."""
+        p, gained = self.p, []
+        for k, b in vec.items():
+            a = acc.get(k)
+            if a is None:
+                if s := -f * b % p:
+                    acc[k] = s
+                    gained.append(k)
+            elif s := (a - f * b) % p:
+                acc[k] = s
+            else:
+                del acc[k]
+        return gained
+
     def elements(self):
         return range(self.p)
 
@@ -310,7 +347,7 @@ class PrimeField:
         return self.name
 
 
-class ExtField:
+class ExtField(_Ring):
     """F_{p^k} as F_p[x]/(poly).  Values are coefficient tuples of length k."""
 
     def __init__(self, p: int, k: int, poly):
@@ -422,7 +459,7 @@ class ExtField:
 TABLE_ORDER_CAP = 1 << 20  # larger fields keep the polynomial arithmetic
 
 
-class TableField:
+class TableField(_Ring):
     """F_{p^k} on the element indices of ``ExtField.from_index``, ints in [0, q).
 
     With g a primitive element, ``exp[i]`` is the index of g^i (the table
@@ -430,9 +467,10 @@ class TableField:
     inverts it: a product or an inverse is one lookup.  Sums use Zech
     logarithms, ``zech[d]`` = log(1 + g^d) (-1 where 1 + g^d = 0), since
     g^i + g^j = g^(i + zech[j - i]); ``zsub`` is the same table for
-    1 - g^d, and ``minus_one`` is log(-1).  No operation uses XOR, so every
-    characteristic works (Huber, "Some comments on Zech's logarithms", IEEE
-    Trans. Inf. Theory 36(4), 1990).  The tables are int32 arrays, 4 q bytes
+    1 - g^d, and ``minus_one`` is log(-1).  The arithmetic needs no XOR, so
+    every characteristic works (Huber, "Some comments on Zech's logarithms",
+    IEEE Trans. Inf. Theory 36(4), 1990); only ``axpy`` takes the XOR
+    shortcut in characteristic 2.  The tables are int32 arrays, 4 q bytes
     each for ``log``, ``zech`` and ``zsub`` and 8 q for ``exp``; build them
     through ``ExtField.index_field``, which keeps one per field.
     """
@@ -458,27 +496,45 @@ class TableField:
         primes = _prime_factors(n)
         g = next(a for a in map(field.from_index, range(1, q))
                  if all(power(a, n // r) != field.one for r in primes))
-        # times g as a linear map: the low h digits and the high k - h digits
-        # of an index go through one table each, and the two images add
+        # times g as a linear map on digit vectors packed w bits a digit, so
+        # that a digitwise sum is a few int operations: XOR for p = 2, else
+        # a sum that takes p off each digit that reached p (2^(w-1) > p, and
+        # adding 2^(w-1) - p to a digit below 2p sets its top bit exactly
+        # then).  The low h and the high k - h packed digits of g^i go
+        # through one table each, to their image under times g and their
+        # share of the index of g^i.
         h = k // 2
-        add = operator.xor if p == 2 else self._digit_add
+        if p == 2:
+            w, add = 1, operator.xor
+        else:
+            w = p.bit_length() + 1
+            ones = sum(1 << w * j for j in range(k))
+            bias, top = ((1 << w - 1) - p) * ones, (1 << w - 1) * ones
+
+            def add(a, b):
+                s = a + b
+                return s - ((s + bias & top) >> w - 1) * p
 
         def images(lo, hi):
-            out = [0]
+            out = {0: (0, 0)}  # packed digits lo..hi-1, shifted to 0 -> (image, index)
             for i in range(lo, hi):
-                step, row = field.index(field.mul(field.from_index(p**i), g)), [0]
-                for _ in range(p - 1):
-                    row.append(add(row[-1], step))
-                out = [add(a, t) for t in row for a in out]
+                x = field.mul(field.from_index(p**i), g)
+                step, t, row = sum(c << w * j for j, c in enumerate(x)), 0, []
+                for d in range(p):
+                    row.append((d << w * (i - lo), t, d * p**i))
+                    t = add(t, step)
+                out = {key | dkey: (add(a, t), ix + dix)
+                       for dkey, t, dix in row for key, (a, ix) in out.items()}
             return out
 
         low, high = images(0, h), images(h, k)
-        split = p**h
+        mask, shift = (1 << w * h) - 1, w * h
         exp = array("i", [1]) * (2 * n)
-        u = 1
-        for i in range(1, n):
-            hi, lo = divmod(u, split)
-            u = exp[i] = add(low[lo], high[hi])
+        u = 1  # g^i, packed
+        for i in range(n):
+            (a, x), (b, y) = low[u & mask], high[u >> shift]
+            exp[i] = x + y
+            u = add(a, b)
         exp[n:] = exp[:n]
         log = array("i", [0]) * q
         for i, u in enumerate(exp[:n]):
@@ -490,17 +546,6 @@ class TableField:
         self.exp, self.log, self.zech = exp, log, zech
         self.zsub = zech[minus_one:] + zech[:minus_one]
         self.minus_one = minus_one
-
-    def _digit_add(self, a, b):
-        """The index of from_index(a) + from_index(b), digit by digit."""
-        p = self.p
-        out, unit = 0, 1
-        while a or b:
-            a, x = divmod(a, p)
-            b, y = divmod(b, p)
-            out += (x + y) % p * unit
-            unit *= p
-        return out
 
     def mul(self, x, y):
         return self.exp[self.log[x] + self.log[y]] if x and y else 0
@@ -528,6 +573,25 @@ class TableField:
         i = self.log[x]
         z = self.zsub[self.log[y] - i]
         return self.exp[i + z] if z >= 0 else 0
+
+    def axpy(self, acc, f, vec):
+        """``_Ring.axpy``; in characteristic 2 a - f b is a XOR f b, one
+        lookup, for the nonzero entries of a sparse vec."""
+        if self.p != 2 or not f:
+            return super().axpy(acc, f, vec)
+        exp, log, gained = self.exp, self.log, []
+        lf = log[f]
+        for k, b in vec.items():
+            t = exp[lf + log[b]]
+            a = acc.get(k)
+            if a is None:
+                acc[k] = t
+                gained.append(k)
+            elif a == t:
+                del acc[k]
+            else:
+                acc[k] = a ^ t
+        return gained
 
     def __repr__(self):
         return f"TableField({self.name})"

@@ -158,19 +158,10 @@ def _lift(u, columns, ring):
 
 
 def _kernel_engine(columns, ring):
-    """The column engine of ``kernel_vectors`` over a field."""
+    """The column engine of ``kernel_vectors`` over a field; the field's
+    ``axpy`` does every row operation."""
     zero, one = ring.zero, ring.one
-    is_zero, sub, mul = ring.is_zero, ring.sub, ring.mul
-
-    def axpy(acc, f, vec):
-        # acc -= f * vec, dropping entries that cancel
-        for k, b in vec.items():
-            s = sub(acc.get(k, zero), mul(f, b))
-            if is_zero(s):
-                acc.pop(k, None)
-            else:
-                acc[k] = s
-
+    is_zero, mul, axpy = ring.is_zero, ring.mul, ring.axpy
     columns = [{r: a for r, a in col.items() if not is_zero(a)} for col in columns]
     # how many columns not yet reduced have an entry in each row
     later = Counter(r for col in columns for r in col)
@@ -194,15 +185,9 @@ def _kernel_engine(columns, ring):
             if f is None:  # cancelled, or a duplicate queued after it
                 continue
             mults[k] = f
-            for r, b in pcol.items():
-                a = vec.get(r)
-                s = sub(zero if a is None else a, mul(f, b))
-                if is_zero(s):
-                    vec.pop(r, None)
-                else:
-                    vec[r] = s
-                    if a is None and (j := pivot_of.get(r)) is not None:
-                        insort(queue, j)
+            for r in axpy(vec, f, pcol):
+                if (j := pivot_of.get(r)) is not None:
+                    insort(queue, j)
         if vec:
             # a pivot row few later columns touch keeps later reductions short
             prow = min(vec, key=later.__getitem__)

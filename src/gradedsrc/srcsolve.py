@@ -82,19 +82,16 @@ def lift_system(sys: LinearSystem, F: FiniteSubset, SF=None) -> LiftedSystem:
     S = sys.union_support()
     if not len(S):
         raise EmptySupport("all coefficients are zero")
-    G = sys.ring.group
+    G, m = sys.ring.group, sys.m
     SF = product_set(S, F) if SF is None else SF
-    row_index = [(g, i) for g in SF for i in range(sys.m)]
-    row_pos = {key: r for r, key in enumerate(row_index)}
+    row_index = [(g, i) for g in SF for i in range(m)]
+    first_row = {g: r * m for r, g in enumerate(SF)}  # of (g, 0); (g, i) is i rows on
     col_index = [(j, f) for f in F for j in range(sys.n)]
-    columns = [
-        {
-            row_pos[(G.mul(h, f), i)]: c
-            for i in range(sys.m)
-            for h, c in sys.a[i][j].terms.items()
-        }
-        for j, f in col_index
-    ]
+    columns = []
+    for f in F:
+        at = {h: first_row[G.mul(h, f)] for h in S}  # each product h f formed once
+        columns += [{at[h] + i: c for i in range(m) for h, c in sys.a[i][j].terms.items()}
+                    for j in range(sys.n)]
     return LiftedSystem(columns, row_index, col_index, sys.ring.coeff)
 
 
@@ -164,12 +161,14 @@ def truncated_kernel(a, radius: int) -> TruncatedKernelReport:
     ring = a[0][0].ring
     G = ring.group
     D = ball(G, radius)
-    cols = [(j, f) for j in range(n) for f in D]
-    # image a_ij * delta_f of each basis vector, keyed by (equation, group
-    # element): each term c*h of a_ij moves to h*f, and no two h collide
+    S = {h for row in a for x in row for h in x.terms}
+    shifts = [{h: G.mul(h, f) for h in S} for f in D]  # each product h f formed once
+    # image a_ij * delta_f of each basis vector, column (j, f), keyed by
+    # (equation, group element): each term c*h of a_ij moves to h*f, and no
+    # two h collide
     columns = [
-        {(i, G.mul(h, f)): c for i in range(m) for h, c in a[i][j].terms.items()}
-        for j, f in cols
+        {(i, hf[h]): c for i in range(m) for h, c in a[i][j].terms.items()}
+        for j in range(n) for hf in shifts
     ]
     basis = list(kernel_vectors(columns, ring.coeff))
     zero, size = ring.coeff.zero, len(D)
@@ -184,8 +183,8 @@ def truncated_kernel(a, radius: int) -> TruncatedKernelReport:
     return TruncatedKernelReport(
         radius=radius,
         domain=D,
-        ncols=len(cols),
-        rank=len(cols) - len(out),
+        ncols=len(columns),
+        rank=len(columns) - len(out),
         basis=out,
     )
 

@@ -1,8 +1,15 @@
+import hashlib
+import json
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+from gradedsrc import bartholdi
 from gradedsrc.coeff import QQ, ZZ, ff_extend
 from gradedsrc.errors import ConstantPolynomial, SetSystemNotFound
 from gradedsrc.gring import GroupRing
@@ -13,6 +20,7 @@ from gradedsrc.bartholdi import (
     ThetaMap,
     admissible_families,
     construct_alphas,
+    family_rows,
     find_point,
     footnote_embedding,
     footnote_kernel,
@@ -21,6 +29,7 @@ from gradedsrc.bartholdi import (
     theta_certify,
     verify_alphas,
 )
+from gradedsrc.linalg import kernel_vectors
 from gradedsrc.srcsolve import truncated_kernel
 
 F2 = FreeGroup(2)
@@ -223,6 +232,84 @@ def test_singular_first_sample_is_retried(system10):
     fam = construct_alphas(system10, ff_extend(3, 1), seed=29)
     assert fam.provenance["attempt"] == 1
     assert verify_alphas(fam, system10).ok
+
+
+def unmemoised_construct_alphas(sys, K, seed, tested, max_tries=64):
+    """``construct_alphas`` testing every family's block, shared or not;
+    appends each tested block's columns to ``tested``."""
+    m = sys.size
+    families = admissible_families(sys)
+    degree_sum = m * len(families)
+    rng = random.Random(seed)
+    var_order = [(s, i, j) for s in sys.labels for i in sorted(sys.X[s]) for j in range(1, m + 1)]
+    t = 1
+    while K.order**t <= 2 * degree_sum:
+        t += 1
+    for attempt in range(max_tries):
+        L = K if t == 1 else ff_extend(K.p, K.k * t)
+        values = {v: L.from_index(rng.randrange(L.order)) for v in var_order}
+        ok = True
+        for family in families:
+            rows = family_rows(sys, family)[:m]
+            columns = [{r: values[(s, i, j)] for r, (s, i) in enumerate(rows)}
+                       for j in range(1, m + 1)]
+            tested.append(tuple(tuple(col.items()) for col in columns))
+            if next(kernel_vectors(columns, L), None) is not None:
+                ok = False
+                break
+        if ok:
+            return attempt, L, values
+        if attempt and attempt % 16 == 0:
+            t += 1
+    raise AssertionError("no nonvanishing point")
+
+
+ALPHA_SEEDS = [29] + random.Random(23).sample(range(10**6), 3)
+
+
+@pytest.mark.parametrize("s_size, y_max", [(2, 10), (3, 20)])
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("seed", ALPHA_SEEDS)
+def test_each_distinct_block_is_tested_once(monkeypatch, s_size, y_max, p, seed):
+    # the same family from the same draws, and the blocks tested are the
+    # unmemoised run's, each once, in the order it first meets them
+    system = search_set_system(s_size, y_max)
+    K = ff_extend(p, 1)
+    want = []
+    attempt, L, values = unmemoised_construct_alphas(system, K, seed, want)
+    tested = []
+
+    def spy(columns, ring):
+        tested.append(tuple(tuple(col.items()) for col in columns))
+        return kernel_vectors(columns, ring)
+
+    monkeypatch.setattr(bartholdi, "kernel_vectors", spy)
+    fam = construct_alphas(system, K, seed)
+    assert (fam.provenance["attempt"], fam.field) == (attempt, L)
+    m = system.size
+    assert fam.matrices == {s: [[values[(s, i, j)] if i in system.X[s] else L.zero
+                                 for j in range(1, m + 1)] for i in range(1, m + 1)]
+                            for s in system.labels}
+    assert tested == list(dict.fromkeys(want))
+
+
+def test_s4_alpha_family_is_pinned():
+    # 147 distinct blocks serve the 13,808 admissible families; a fresh
+    # interpreter, so the F_{2^19} tables' build counts against the bound
+    code = ("import hashlib, json\n"
+            "from gradedsrc.bartholdi import construct_alphas, search_set_system\n"
+            "from gradedsrc.coeff import ff_extend\n"
+            "fam = construct_alphas(search_set_system(4, 14), ff_extend(2, 1), seed=0)\n"
+            "text = json.dumps(fam.to_json(), sort_keys=True)\n"
+            "print(fam.provenance['attempt'], fam.field.name,"
+            " hashlib.sha256(text.encode()).hexdigest())\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=10, check=True).stdout
+    assert out.split() == [
+        "0", "F2^19", "f596c6442609e5ec7f19a03f5822b336b8581eba802213f581c6e0d124e323b8"]
 
 
 def test_zero_matrices_fail_every_family(system10, alphas10):

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import re
@@ -312,7 +314,8 @@ def test_solve_budget_exhaustion(tmp_path, capsys):
 
 
 def test_parser_reused_without_leaking_options(tmp_path):
-    # main parses every call with one parser; no option value may carry over
+    # main parses every call of a command with that command's one parser;
+    # no option value may carry over
     from gradedsrc import cli
 
     infile = write(tmp_path, "sys.json", one_pm_t_json())
@@ -324,7 +327,7 @@ def test_parser_reused_without_leaking_options(tmp_path):
     assert json.loads(open(theta_out).read())["theta"]["ncols"] == 10
     assert main(["solve", "--in", infile, "--out", out]) == 0
     assert json.loads(open(out).read())["provenance"]["budget"] == 64
-    assert cli._parser() is cli._parser()
+    assert cli._parser("solve") is cli._parser("solve")
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -343,6 +346,32 @@ def test_help_exits_0(capsys):
         main(["solve", "--help"])
     assert exc.value.code == 0
     assert "--budget" in capsys.readouterr().out
+
+
+def parse_outcome(parser, argv):
+    """(namespace or None, exit code or None, stdout, stderr) of one parse."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return vars(parser.parse_args(argv)), None, out.getvalue(), err.getvalue()
+        except SystemExit as exc:
+            return None, exc.code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve"], ["solve", "--help"], ["solve", "--in"], ["solve", "--in", "x", "extra"],
+    ["solve", "theta"], ["theta", "--bogus"], ["theta", "--s", "x"], ["theta", "--rad", "2"],
+    ["theta", "--s", "3", "--radius", "2"], ["folner", "--budget", "3", "--in", "q"],
+    ["graded-verify", "--fixture", "group-ring", "--g", "a"], ["embed-cert", "--coeff", "R"],
+    ["embed-cert", "--c", "Z"], ["ideal", "--in", "f", "--seed", "4"],
+], ids=" ".join)
+def test_one_command_parser_parses_as_the_full_one(argv):
+    # main builds only the named command's parser: same values, output and usage lines
+    from gradedsrc import cli
+
+    full = parse_outcome(cli.build_parser(), argv)
+    assert parse_outcome(cli.build_parser(argv[0]), argv) == full
+    assert full[0] is not None or (full[2] or full[3]).startswith("usage: gradedsrc")
 
 
 def run_python(code, *argv, timeout):

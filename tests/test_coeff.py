@@ -1,4 +1,7 @@
 import math
+import operator
+import time
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -10,8 +13,10 @@ from gradedsrc.coeff import (
     ZSQRT5,
     ExtField,
     PrimeField,
+    TableField,
     ff_extend,
     _monic_polys,
+    _prime_factors,
     ideal_membership_I,
     is_prime,
     poly_is_irreducible,
@@ -19,6 +24,7 @@ from gradedsrc.coeff import (
     poly_trim,
 )
 from gradedsrc.errors import DivisionByZero, InexactDivision, NotPrime
+from gradedsrc.linalg import MODULUS
 
 
 def test_prime_field_inverse():
@@ -176,3 +182,148 @@ def test_json_roundtrip():
     assert ZSQRT5.from_json(ZSQRT5.to_json((4, -5))) == (4, -5)
     F7 = PrimeField(7)
     assert F7.from_json(F7.to_json(5)) == 5
+
+
+# --- TableField: the tables against a digit-by-digit build -------------------
+
+
+def reference_tables(field):
+    """(exp, log, zech, zsub, minus_one) of ``TableField``, built with a
+    digit-by-digit index sum for odd p: the build the packed sums replaced."""
+    p, k, q = field.p, field.k, field.order
+    n = q - 1
+
+    def power(a, e):
+        acc = field.one
+        while e:
+            if e & 1:
+                acc = field.mul(acc, a)
+            a, e = field.mul(a, a), e >> 1
+        return acc
+
+    def digit_add(a, b):
+        out, unit = 0, 1
+        while a or b:
+            a, x = divmod(a, p)
+            b, y = divmod(b, p)
+            out += (x + y) % p * unit
+            unit *= p
+        return out
+
+    primes = _prime_factors(n)
+    g = next(a for a in map(field.from_index, range(1, q))
+             if all(power(a, n // r) != field.one for r in primes))
+    h = k // 2
+    add = operator.xor if p == 2 else digit_add
+
+    def images(lo, hi):
+        out = [0]
+        for i in range(lo, hi):
+            step, row = field.index(field.mul(field.from_index(p**i), g)), [0]
+            for _ in range(p - 1):
+                row.append(add(row[-1], step))
+            out = [add(a, t) for t in row for a in out]
+        return out
+
+    low, high = images(0, h), images(h, k)
+    split = p**h
+    exp = array("i", [1]) * (2 * n)
+    u = 1
+    for i in range(1, n):
+        hi, lo = divmod(u, split)
+        u = exp[i] = add(low[lo], high[hi])
+    exp[n:] = exp[:n]
+    log = array("i", [0]) * q
+    for i, u in enumerate(exp[:n]):
+        log[u] = i
+    zech = array("i", (log[u + 1 - p] if u % p == p - 1 else log[u + 1] for u in exp[:n]))
+    minus_one = log[p - 1]
+    zech[minus_one] = -1
+    return exp, log, zech, zech[minus_one:] + zech[:minus_one], minus_one
+
+
+@pytest.mark.parametrize("p,k", [(2, 2), (2, 7), (2, 10), (3, 2), (3, 3), (3, 5), (3, 7),
+                                 (5, 2), (5, 3), (5, 5), (7, 2), (7, 3), (7, 4),
+                                 (11, 2), (13, 3)])
+def test_tables_equal_the_digit_by_digit_build(p, k):
+    F = ff_extend(p, k)
+    T = TableField(F)
+    assert (T.exp, T.log, T.zech, T.zsub, T.minus_one) == reference_tables(F)
+
+
+def test_odd_characteristic_tables_build_about_as_fast_as_binary_ones():
+    # F_{3^12} has half the elements of F_{2^20}; per element its packed
+    # digit sum costs a few int operations, as XOR does
+    def build_time(F):
+        start = time.perf_counter()
+        TableField(F)
+        return time.perf_counter() - start
+
+    binary, ternary = ff_extend(2, 20), ff_extend(3, 12)
+    assert build_time(ternary) < 2 * build_time(binary)
+
+
+# --- axpy: each field's row operation against the generic loop ---------------
+
+
+def nonzero_rationals():
+    return st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 9))
+
+
+AXPY_FIELDS = {
+    "F5": (PrimeField(5), st.integers(1, 4)),
+    "F_MODULUS": (PrimeField(MODULUS), st.integers(1, MODULUS - 1)),
+    "F2^3 tables": (TableField(ff_extend(2, 3)), st.integers(1, 7)),
+    "F2^7 tables": (TableField(ff_extend(2, 7)), st.integers(1, 127)),
+    "F3^2 tables": (TableField(ff_extend(3, 2)), st.integers(1, 8)),
+    "F3^5 tables": (TableField(ff_extend(3, 5)), st.integers(1, 242)),
+    "F2^3": (ff_extend(2, 3), st.integers(1, 7).map(ff_extend(2, 3).from_index)),
+    "Q": (QQ, nonzero_rationals()),
+}
+
+
+def generic_axpy(R, acc, f, vec):
+    """acc - f * vec by the ring's sub, mul and is_zero, and the keys it gained."""
+    out, gained = dict(acc), []
+    for k, b in vec.items():
+        s = R.sub(out.get(k, R.zero), R.mul(f, b))
+        if R.is_zero(s):
+            out.pop(k, None)
+        else:
+            if k not in out:
+                gained.append(k)
+            out[k] = s
+    return out, gained
+
+
+@st.composite
+def axpy_cases(draw):
+    """Sparse acc and vec over one field, with some of vec's entries (or
+    all of acc's) chosen so that acc - f * vec cancels there."""
+    R, nonzero = AXPY_FIELDS[draw(st.sampled_from(sorted(AXPY_FIELDS)))]
+    keys = st.integers(0, 9)
+    acc = draw(st.dictionaries(keys, nonzero, max_size=6))
+    f = draw(nonzero)
+    vec = draw(st.dictionaries(keys, nonzero, max_size=6))
+    cancel = set()
+    if acc:
+        cancel = set(acc) if draw(st.booleans()) else draw(st.sets(st.sampled_from(sorted(acc))))
+    for k in sorted(cancel):
+        vec[k] = R.mul(R.inv(f), acc[k])  # a - f * (a / f) = 0
+    return R, acc, f, vec
+
+
+@given(axpy_cases())
+def test_axpy_matches_the_generic_loop(case):
+    R, acc, f, vec = case
+    want, want_gained = generic_axpy(R, acc, f, vec)
+    got = dict(acc)
+    assert R.axpy(got, f, vec) == want_gained
+    assert list(got.items()) == list(want.items())
+
+
+def test_axpy_full_cancellation_empties_acc():
+    for R, _ in AXPY_FIELDS.values():
+        acc = {0: R.one, 3: R.neg(R.one)}
+        assert R.axpy(acc, R.one, dict(acc)) == [] and acc == {}
+        assert R.axpy(acc, R.one, {2: R.one}) == [2] and acc == {2: R.neg(R.one)}
