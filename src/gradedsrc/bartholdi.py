@@ -309,9 +309,10 @@ class AlphaReport:
         self.ok = ok
 
 
-def verify_alphas(fam: AlphaFamily, sys: SetSystem) -> AlphaReport:
-    """Re-checks row supports and full column rank of every admissible stack."""
-    L = fam.field
+def verify_alphas(fam: AlphaFamily) -> AlphaReport:
+    """Re-checks row supports and full column rank of every admissible stack
+    of ``fam.set_system``."""
+    L, sys = fam.field, fam.set_system
     m = sys.size
     support_ok = all(
         all(L.is_zero(v) for v in fam.matrices[s][i - 1])

@@ -78,7 +78,7 @@ def cmd_theta(args) -> dict:
     system = search_set_system(args.s, args.ymax)
     K = ff_extend(args.field, 1)
     fam = construct_alphas(system, K, seed=args.seed)
-    verify = verify_alphas(fam, system)
+    verify = verify_alphas(fam)
     G = FreeGroup(2)
     labels = list(system.labels)
     b = letter_b(labels)

@@ -45,9 +45,5 @@ class RetryExhausted(GradedSrcError):
     """Random sampling failed to hit a nonvanishing point."""
 
 
-class EmptySupport(GradedSrcError):
-    """All system coefficients are zero; every vector is a solution."""
-
-
 class UnexpectedEmptyKernel(GradedSrcError):
     """Lifted system had no kernel despite the row/column count guarantee."""

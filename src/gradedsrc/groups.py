@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from functools import cached_property
 from operator import add, itemgetter, neg
 
 from .coeff import _is_int
@@ -354,13 +353,6 @@ class FiniteSubset:
 
     def __len__(self):
         return len(self.elements)
-
-    def __contains__(self, g):
-        return g in self._members
-
-    @cached_property
-    def _members(self) -> frozenset:
-        return frozenset(self.elements)
 
     def __iter__(self):
         return iter(self.elements)

@@ -15,9 +15,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .coeff import ExtField, Integers, PrimeField, Rationals
-from .errors import EmptySupport, UnexpectedEmptyKernel
-from .gring import GRElement, GroupRing
-from .groups import FiniteSubset, ball, folner_search, product_set
+from .errors import UnexpectedEmptyKernel
+from .gring import GroupRing
+from .groups import FiniteSubset, ball, folner_search
 # kernel_basis stays importable from this module: perfbench's self-tests reach it here
 from .linalg import kernel_basis, kernel_vectors  # noqa: F401
 
@@ -48,7 +48,7 @@ class LinearSystem:
 
 
 class LiftedSystem:
-    """The base-ring system indexed by SF x {1..m} rows and {1..n} x F columns.
+    """The base-ring system of a grid lifted to columns (j, f), rows (g, i).
 
     ``columns`` holds one ``{row position: nonzero entry}`` dict per column,
     positions into ``row_index``."""
@@ -56,7 +56,7 @@ class LiftedSystem:
     def __init__(self, columns: list, row_index: list, col_index: list, base_ring):
         self.columns = columns
         self.row_index = row_index  # (g, i) pairs, g-major
-        self.col_index = col_index  # (j, f) pairs, f-major
+        self.col_index = col_index  # (j, f) pairs, in the caller's order
         self.base_ring = base_ring
 
     @property
@@ -75,38 +75,35 @@ class SolutionVector:
         self.verified = verified
 
 
-def lift_system(sys: LinearSystem, F: FiniteSubset, SF=None) -> LiftedSystem:
+def lift_system(a, col_index: list, SF=()) -> LiftedSystem:
     """Entry at row (g, i), column (j, f) is the coefficient of g f^-1 in a_ij,
-    so column (j, f) holds each term c*h of a_ij at row (h f, i).  ``SF`` is
-    the product of the support with F, when the caller has it already."""
-    S = sys.union_support()
-    if not len(S):
-        raise EmptySupport("all coefficients are zero")
-    G, m = sys.ring.group, sys.m
-    SF = product_set(S, F) if SF is None else SF
-    row_index = [(g, i) for g in SF for i in range(m)]
+    so column (j, f) holds each term c*h of a_ij at row (h f, i).  Rows follow
+    ``SF`` when the caller gives it, else the order the products are met."""
+    ring, m = a[0][0].ring, len(a)
+    G = ring.group
+    S = dict.fromkeys(h for row in a for x in row for h in x.terms)
     first_row = {g: r * m for r, g in enumerate(SF)}  # of (g, 0); (g, i) is i rows on
-    col_index = [(j, f) for f in F for j in range(sys.n)]
-    columns = []
-    for f in F:
-        at = {h: first_row[G.mul(h, f)] for h in S}  # each product h f formed once
-        columns += [{at[h] + i: c for i in range(m) for h, c in sys.a[i][j].terms.items()}
-                    for j in range(sys.n)]
-    return LiftedSystem(columns, row_index, col_index, sys.ring.coeff)
+    at = {}
+    for _, f in col_index:
+        if f not in at:  # each product h f formed once
+            at[f] = {h: first_row.setdefault(G.mul(h, f), len(first_row) * m) for h in S}
+    columns = [{at[f][h] + i: c for i in range(m) for h, c in a[i][j].terms.items()}
+               for j, f in col_index]
+    row_index = [(g, i) for g in first_row for i in range(m)]
+    return LiftedSystem(columns, row_index, col_index, ring.coeff)
 
 
-def assemble_solution(sys: LinearSystem, kv, F: FiniteSubset) -> SolutionVector:
-    """x_j = sum_f delta_f * x'_{jf} from a lifted kernel vector."""
-    R = sys.ring
-    terms = [[] for _ in range(sys.n)]
-    for idx, (j, f) in enumerate([(j, f) for f in F for j in range(sys.n)]):
-        c = kv[idx]
-        if not R.coeff.is_zero(c):
+def assemble_solution(ring: GroupRing, n: int, col_index: list, v) -> tuple:
+    """x_j = sum_f delta_f * v_(j, f), the n group-ring elements of a lifted
+    kernel vector ``v``."""
+    terms = [[] for _ in range(n)]
+    for (j, f), c in zip(col_index, v):
+        if not ring.coeff.is_zero(c):
             terms[j].append((f, c))
-    xs = tuple(R.from_terms(t) for t in terms)
+    xs = tuple(ring.from_terms(t) for t in terms)
     if all(x.is_zero() for x in xs):
         raise AssertionError("zero assembly from a nonzero kernel vector")
-    return SolutionVector(xs, verified=False)
+    return xs
 
 
 def apply_matrix(a, xs) -> list:
@@ -132,15 +129,16 @@ def solve_src(sys: LinearSystem, budget: int = 64) -> SolutionVector:
         return SolutionVector(xs, verified=True)
     ratio = Fraction(sys.n, sys.m)
     F, SF = folner_search(sys.ring.group, S, ratio, budget)
-    lifted = lift_system(sys, F, SF)
-    assert len(lifted.row_index) < len(lifted.col_index)
+    col_index = [(j, f) for f in F for j in range(sys.n)]
+    lifted = lift_system(sys.a, col_index, SF)
+    assert len(lifted.row_index) < len(col_index)
     kv = next(kernel_vectors(lifted.columns, lifted.base_ring), None)
     if kv is None:
         raise UnexpectedEmptyKernel("rank bound violated; logic fault")
-    sol = assemble_solution(sys, kv, F)
-    if not verify_solution(sys, sol.xs):
+    xs = assemble_solution(sys.ring, sys.n, col_index, kv)
+    if not verify_solution(sys, xs):
         raise AssertionError("assembled solution failed exact substitution")
-    return SolutionVector(sol.xs, verified=True)
+    return SolutionVector(xs, verified=True)
 
 
 class TruncatedKernelReport:
@@ -156,37 +154,14 @@ def truncated_kernel(a, radius: int) -> TruncatedKernelReport:
     """Kernel of ``apply_matrix(a, .)`` restricted to x_j supported in
     ball(radius).  An empty basis certifies injectivity up to the truncation.
     Theta's certificate is this kernel for its matrix over L[F_2]."""
-    m = len(a)
-    n = len(a[0])
-    ring = a[0][0].ring
-    G = ring.group
-    D = ball(G, radius)
-    S = {h for row in a for x in row for h in x.terms}
-    shifts = [{h: G.mul(h, f) for h in S} for f in D]  # each product h f formed once
-    # image a_ij * delta_f of each basis vector, column (j, f), keyed by
-    # (equation, group element): each term c*h of a_ij moves to h*f, and no
-    # two h collide
-    columns = [
-        {(i, hf[h]): c for i in range(m) for h, c in a[i][j].terms.items()}
-        for j in range(n) for hf in shifts
-    ]
-    basis = list(kernel_vectors(columns, ring.coeff))
-    zero, size = ring.coeff.zero, len(D)
-    # the ball has no repeated elements, so each nonzero entry is a term
-    out = [
-        tuple(
-            GRElement(ring, {g: c for g, c in zip(D, v[j * size : (j + 1) * size]) if c != zero})
-            for j in range(n)
-        )
-        for v in basis
-    ]
-    return TruncatedKernelReport(
-        radius=radius,
-        domain=D,
-        ncols=len(columns),
-        rank=len(columns) - len(out),
-        basis=out,
-    )
+    ring, n = a[0][0].ring, len(a[0])
+    D = ball(ring.group, radius)
+    col_index = [(j, f) for j in range(n) for f in D]
+    lifted = lift_system(a, col_index)
+    basis = [assemble_solution(ring, n, col_index, v)
+             for v in kernel_vectors(lifted.columns, lifted.base_ring)]
+    return TruncatedKernelReport(radius=radius, domain=D, ncols=len(col_index),
+                                 rank=len(col_index) - len(basis), basis=basis)
 
 
 def intconst_truncated_kernel(poly_ring, a, max_degree: int, radius: int):

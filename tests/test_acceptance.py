@@ -275,7 +275,7 @@ def test_criterion_5_set_system():
 def _run_criterion_6():
     system = search_set_system(2, 10)
     fam = construct_alphas(system, ff_extend(2, 1), seed=0)
-    rep = verify_alphas(fam, system)
+    rep = verify_alphas(fam)
     return system, fam, rep, json.dumps(fam.to_json(), sort_keys=True)
 
 

@@ -220,7 +220,7 @@ def test_admissible_families_structure(system10):
 def test_construct_and_verify_roundtrip(system10, alphas10):
     assert alphas10.field.p == 2 and alphas10.field.k == 7
     assert alphas10.provenance["attempt"] == 0
-    rep = verify_alphas(alphas10, system10)
+    rep = verify_alphas(alphas10)
     assert rep.row_support_ok
     assert all(f["ok"] and f["rank"] == 10 for f in rep.families)
     assert rep.ok
@@ -231,7 +231,7 @@ def test_singular_first_sample_is_retried(system10):
     # ``theta --field 3 --radius 1 --seed 29`` pins the family it retries to
     fam = construct_alphas(system10, ff_extend(3, 1), seed=29)
     assert fam.provenance["attempt"] == 1
-    assert verify_alphas(fam, system10).ok
+    assert verify_alphas(fam).ok
 
 
 def unmemoised_construct_alphas(sys, K, seed, tested, max_tries=64):
@@ -317,7 +317,7 @@ def test_zero_matrices_fail_every_family(system10, alphas10):
     zero = AlphaFamily(
         L, system10, {s: [[L.zero] * 10 for _ in range(10)] for s in system10.labels}
     )
-    rep = verify_alphas(zero, system10)
+    rep = verify_alphas(zero)
     assert rep.row_support_ok
     assert all(not f["ok"] for f in rep.families)
 
@@ -328,7 +328,7 @@ def test_perturbation_breaks_dependent_families(system10, alphas10):
     for s in system10.labels:  # kill one shared column: every stack loses rank
         for i in range(10):
             matrices[s][i][0] = L.zero
-    rep = verify_alphas(AlphaFamily(L, system10, matrices), system10)
+    rep = verify_alphas(AlphaFamily(L, system10, matrices))
     assert rep.row_support_ok
     assert all(not f["ok"] for f in rep.families)
 

@@ -705,6 +705,8 @@ def test_outputs_byte_identical(tmp_path):
 FREE_FOLNER = {"group": {"family": "free", "rank": 2}, "s": ["", "a", "A", "b", "B"],
                "ratio": "2", "budget": 3}
 FP4_SYSTEM = {**one_pm_t_json(), "coeff": {"ring": "Fp", "p": 4}}
+ZSQRT5_SYSTEM = {**one_pm_t_json(), "coeff": {"ring": "Zsqrt-5"},
+                 "a": [[[[[0], [1, 0]], [[1], [1, 0]]], [[[0], [1, 0]], [[1], [-1, 0]]]]]}
 NO_FILE = "bad input: [Errno 2] No such file or directory: "
 
 
@@ -720,6 +722,8 @@ FAILURES = {
                         "set-system search failed: no admissible system with |Y| <= 3\n"),
     "fp-not-prime": (["solve", "--in", "fp4.json"], {"fp4.json": FP4_SYSTEM}, 1,
                      "error: 4 is not prime\n"),
+    "solve-zsqrt5": (["solve", "--in", "zs.json"], {"zs.json": ZSQRT5_SYSTEM}, 1,
+                     "bad input: unsupported coefficient ring Zsqrt-5\n"),
     "missing-in": (["solve", "--in", "missing.json"], {}, 1,
                    NO_FILE + "'{dir}/missing.json'\n"),
 }

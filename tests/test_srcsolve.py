@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -5,12 +7,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradedsrc.coeff import QQ, ZZ, PrimeField, ff_extend
+from gradedsrc.cli import main
 from gradedsrc.errors import FolnerNotFound
-from gradedsrc.gring import GroupRing, IntConstPolyRing
-from gradedsrc.groups import FiniteGroup, FiniteSubset, FreeAbelian, FreeGroup, ball, box
+from gradedsrc.gring import GRElement, GroupRing, IntConstPolyRing
+from gradedsrc.groups import (
+    FiniteGroup,
+    FiniteSubset,
+    FreeAbelian,
+    FreeGroup,
+    ball,
+    box,
+    folner_search,
+    product_set,
+)
 from gradedsrc.linalg import kernel_basis, kernel_vectors, rank
 from gradedsrc.srcsolve import (
+    LiftedSystem,
     LinearSystem,
+    SolutionVector,
+    TruncatedKernelReport,
     apply_matrix,
     assemble_solution,
     intconst_truncated_kernel,
@@ -28,10 +43,17 @@ def one_pm_t_system(qz):
     return LinearSystem(qz, 1, 2, ((qz.one() + t, qz.one() - t),))
 
 
+def lift_on(sys, F):
+    """``sys`` lifted to F with f-major columns and rows in SF, as ``solve_src``
+    lifts it."""
+    col_index = [(j, f) for f in F for j in range(sys.n)]
+    return lift_system(sys.a, col_index, product_set(sys.union_support(), F))
+
+
 def test_lift_matrix_frozen(qz):
     sys = one_pm_t_system(qz)
     F = FiniteSubset.of(Z, [(0,), (1,), (2,)])
-    lifted = lift_system(sys, F)
+    lifted = lift_on(sys, F)
     assert [[int(a) for a in row] for row in lifted.matrix] == [
         [1, 1, 0, 0, 0, 0],
         [1, -1, 1, 1, 0, 0],
@@ -44,7 +66,7 @@ def test_lift_matrix_frozen(qz):
 
 def test_lift_with_singleton_folner_set(qz):
     sys = one_pm_t_system(qz)
-    lifted = lift_system(sys, FiniteSubset.of(Z, [(0,)]))
+    lifted = lift_on(sys, FiniteSubset.of(Z, [(0,)]))
     # constant-term equations indexed by S = {1, t}
     assert [[int(a) for a in row] for row in lifted.matrix] == [[1, 1], [1, -1]]
 
@@ -53,7 +75,7 @@ def test_lift_selector_matrix(qz2):
     one, zero = qz2.one(), qz2.zero()
     sys = LinearSystem(qz2, 1, 2, ((one, zero),))
     F = box(FreeAbelian(2), 2)
-    lifted = lift_system(sys, F)
+    lifted = lift_on(sys, F)
     for ridx, row in enumerate(lifted.matrix):
         assert sum(1 for a in row if a) == 1
         g = lifted.row_index[ridx][0]
@@ -63,7 +85,7 @@ def test_lift_selector_matrix(qz2):
 def test_lift_kernel_dimension_and_membership(qz):
     sys = one_pm_t_system(qz)
     F = FiniteSubset.of(Z, [(0,), (1,), (2,)])
-    lifted = lift_system(sys, F)
+    lifted = lift_on(sys, F)
     basis = kernel_basis(lifted.matrix, QQ, ncols=6)
     assert len(basis) == 2
     target = [Fraction(c) for c in (1, -1, -1, -1, 0, 0)]
@@ -76,11 +98,11 @@ def test_assemble_examples(qz):
     sys = one_pm_t_system(qz)
     F = FiniteSubset.of(Z, [(0,), (1,), (2,)])
     kv = [Fraction(c) for c in (1, -1, -1, -1, 0, 0)]
-    sol = assemble_solution(sys, kv, F)
-    x1, x2 = sol.xs
+    xs = assemble_solution(qz, 2, [(j, f) for f in F for j in range(2)], kv)
+    x1, x2 = xs
     assert x1 == qz.one() - qz.delta((1,))
     assert x2 == qz.zero() - (qz.one() + qz.delta((1,)))
-    assert verify_solution(sys, sol.xs)
+    assert verify_solution(sys, xs)
 
 
 def test_solve_one_pm_t(qz):
@@ -359,23 +381,21 @@ def test_randomized_consistency_s3(s3, rng):
 
 
 def test_all_lifted_kernel_vectors_assemble_to_solutions(qz2, rng):
-    from gradedsrc.groups import folner_search
-
     pool = [(0, 0), (1, 0), (0, 1)]
     for _ in range(5):
         sys = random_system(qz2, rng, pool)
         S = sys.union_support()
         F, _ = folner_search(qz2.group, S, Fraction(3, 1), 12)
-        lifted = lift_system(sys, F)
+        lifted = lift_on(sys, F)
         for kv in kernel_basis(lifted.matrix, QQ, ncols=len(lifted.col_index)):
-            sol = assemble_solution(sys, kv, F)
-            assert verify_solution(sys, sol.xs)
+            xs = assemble_solution(qz2, sys.n, lifted.col_index, kv)
+            assert verify_solution(sys, xs)
 
 
 def test_solve_builds_sf_once(qz2, s3, rng, monkeypatch):
     # the product set folner_ratio_ok builds for the accepted F is the one
     # lift_system uses; no further product_set call
-    from gradedsrc import groups, srcsolve
+    from gradedsrc import groups
 
     calls = {"product_set": 0, "folner_ratio_ok": 0}
 
@@ -386,7 +406,6 @@ def test_solve_builds_sf_once(qz2, s3, rng, monkeypatch):
         return wrapped
 
     monkeypatch.setattr(groups, "product_set", spy("product_set", groups.product_set))
-    monkeypatch.setattr(srcsolve, "product_set", groups.product_set)
     monkeypatch.setattr(groups, "folner_ratio_ok", spy("folner_ratio_ok", groups.folner_ratio_ok))
     for ring, pool, budget in ((GroupRing(s3, QQ), list(s3.elements), 2),
                                (qz2, [(0, 0), (1, 0), (0, 1), (1, 1)], 12)):
@@ -394,3 +413,170 @@ def test_solve_builds_sf_once(qz2, s3, rng, monkeypatch):
             calls.update(product_set=0, folner_ratio_ok=0)
             assert solve_src(random_system(ring, rng, pool), budget=budget).verified
             assert calls["product_set"] == calls["folner_ratio_ok"] >= 1
+
+
+# --- one lift and one assembly for solving and truncated kernels -------------
+
+
+def reference_lift_system(sys, F, SF=None):
+    """``lift_system`` as it was before truncated kernels shared it: f-major
+    columns, rows in SF order."""
+    S = sys.union_support()
+    if not len(S):
+        raise ValueError("all coefficients are zero")
+    G, m = sys.ring.group, sys.m
+    SF = product_set(S, F) if SF is None else SF
+    row_index = [(g, i) for g in SF for i in range(m)]
+    first_row = {g: r * m for r, g in enumerate(SF)}  # of (g, 0); (g, i) is i rows on
+    col_index = [(j, f) for f in F for j in range(sys.n)]
+    columns = []
+    for f in F:
+        at = {h: first_row[G.mul(h, f)] for h in S}  # each product h f formed once
+        columns += [{at[h] + i: c for i in range(m) for h, c in sys.a[i][j].terms.items()}
+                    for j in range(sys.n)]
+    return LiftedSystem(columns, row_index, col_index, sys.ring.coeff)
+
+
+def reference_assemble_solution(sys, kv, F):
+    """x_j = sum_f delta_f * x'_{jf} from a lifted kernel vector."""
+    R = sys.ring
+    terms = [[] for _ in range(sys.n)]
+    for idx, (j, f) in enumerate([(j, f) for f in F for j in range(sys.n)]):
+        c = kv[idx]
+        if not R.coeff.is_zero(c):
+            terms[j].append((f, c))
+    xs = tuple(R.from_terms(t) for t in terms)
+    if all(x.is_zero() for x in xs):
+        raise AssertionError("zero assembly from a nonzero kernel vector")
+    return SolutionVector(xs, verified=False)
+
+
+def reference_solve_src(sys, budget):
+    """``solve_src`` through the reference lift and assembly."""
+    S = sys.union_support()
+    if not len(S):
+        return (sys.ring.one(),) + tuple(sys.ring.zero() for _ in range(sys.n - 1))
+    F, SF = folner_search(sys.ring.group, S, Fraction(sys.n, sys.m), budget)
+    lifted = reference_lift_system(sys, F, SF)
+    kv = next(kernel_vectors(lifted.columns, lifted.base_ring))
+    return reference_assemble_solution(sys, kv, F).xs
+
+
+def reference_truncated_kernel(a, radius):
+    """``truncated_kernel`` as it was with its own columns on (equation,
+    group element) rows, j-major, and its own slicing of each vector."""
+    m = len(a)
+    n = len(a[0])
+    ring = a[0][0].ring
+    G = ring.group
+    D = ball(G, radius)
+    S = {h for row in a for x in row for h in x.terms}
+    shifts = [{h: G.mul(h, f) for h in S} for f in D]  # each product h f formed once
+    columns = [
+        {(i, hf[h]): c for i in range(m) for h, c in a[i][j].terms.items()}
+        for j in range(n) for hf in shifts
+    ]
+    basis = list(kernel_vectors(columns, ring.coeff))
+    zero, size = ring.coeff.zero, len(D)
+    out = [
+        tuple(
+            GRElement(ring, {g: c for g, c in zip(D, v[j * size : (j + 1) * size]) if c != zero})
+            for j in range(n)
+        )
+        for v in basis
+    ]
+    return TruncatedKernelReport(
+        radius=radius,
+        domain=D,
+        ncols=len(columns),
+        rank=len(columns) - len(out),
+        basis=out,
+    )
+
+
+F5, F8 = PrimeField(5), ff_extend(2, 3)
+SHARED_RINGS = {
+    "Q": (QQ, Fraction),
+    "Z": (ZZ, int),
+    "F5": (F5, lambda n: n % 5),
+    "F8": (F8, lambda n: F8.from_index(n % 8)),
+}
+SHARED_GROUPS = {
+    "F2": FreeGroup(2),
+    "Z2": FreeAbelian(2),
+    "S3": FiniteGroup.symmetric(3),
+    "C4": FiniteGroup.cyclic(4),
+}
+
+
+@st.composite
+def shared_cases(draw):
+    """An m x n grid, m <= n, over Q, Z, F_5 or F_8 of F_2, Z^2, S_3 or C_4
+    elements supported in ball(1), all zero in some, and a radius up to 2."""
+    ring, elem = SHARED_RINGS[draw(st.sampled_from(sorted(SHARED_RINGS)))]
+    R = GroupRing(SHARED_GROUPS[draw(st.sampled_from(sorted(SHARED_GROUPS)))], ring)
+    support = list(ball(R.group, 1))
+    term = st.tuples(st.sampled_from(support), st.integers(-2, 3).map(elem))
+    entry = st.lists(term, max_size=3).map(R.from_terms)
+    m = draw(st.integers(1, 2))
+    n = draw(st.integers(m, 3))
+    if draw(st.booleans()) and draw(st.booleans()):
+        a = [[R.zero()] * n for _ in range(m)]
+    else:
+        a = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+    return a, draw(st.integers(0, 2))
+
+
+def ordered(xs):
+    return [list(x.terms.items()) for x in xs]
+
+
+@given(shared_cases())
+@settings(max_examples=80, deadline=None)
+def test_shared_lift_and_assembly_match_the_separate_paths(case):
+    a, radius = case
+    got, want = truncated_kernel(a, radius), reference_truncated_kernel(a, radius)
+    assert (got.ncols, got.rank) == (want.ncols, want.rank)
+    assert [ordered(xs) for xs in got.basis] == [ordered(xs) for xs in want.basis]
+    if len(a) == len(a[0]):
+        return
+    sys = LinearSystem(a[0][0].ring, len(a), len(a[0]), tuple(map(tuple, a)))
+    try:
+        want = ordered(reference_solve_src(sys, budget=6))
+    except FolnerNotFound:
+        with pytest.raises(FolnerNotFound):
+            solve_src(sys, budget=6)
+        return
+    assert ordered(solve_src(sys, budget=6).xs) == want
+
+
+# sha256 of `gradedsrc solve --in` stdout, recorded before solving and
+# truncated kernels shared one lift and one assembly
+SOLVE_STDOUT = {
+    "1x2 Q[F_2]": (
+        {"group": {"family": "free", "rank": 2}, "coeff": {"ring": "Q"}, "m": 1, "n": 2,
+         "a": [[[["", "1"], ["a", "2"]], [["", "3"], ["a", "-1"]]]]},
+        "7d66619c16c796496206a0cecef77c979d4d6ae1af7786910c7d0ba3256cdd34",
+    ),
+    "1x2 Q[C_4]": (
+        {"group": {"family": "cyclic", "n": 4}, "coeff": {"ring": "Q"}, "m": 1, "n": 2,
+         "a": [[[[0, "1"], [1, "2"]], [[0, "3"], [3, "-1"]]]]},
+        "bac1f2f8e149405b4e8eb08669e711ca1875c3a6bfaba93ac65e252bdd44382a",
+    ),
+    "2x3 F_5[Z^2]": (
+        {"group": {"family": "abelian", "rank": 2}, "coeff": {"ring": "Fp", "p": 5},
+         "m": 2, "n": 3,
+         "a": [[[[[0, 0], [1]], [[1, 0], [2]]], [[[0, 1], [3]]], [[[1, 1], [4]], [[0, 0], [1]]]],
+               [[[[0, 0], [2]]], [[[1, 0], [1]], [[0, 1], [1]]], [[[0, 0], [3]]]]]},
+        "ce79f66bf284c75bc07576569a97d8396c3a2d9c035c90650caa7c2c16067463",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SOLVE_STDOUT))
+def test_solve_stdout_golden(tmp_path, capsys, case):
+    obj, want = SOLVE_STDOUT[case]
+    infile = tmp_path / "in.json"
+    infile.write_text(json.dumps(obj))
+    assert main(["solve", "--in", str(infile)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == want
