@@ -35,7 +35,7 @@ from .gring import (
     intconst_witness,
     sign_graded_witness,
 )
-from .groups import FiniteSubset, FreeGroup, folner_search
+from .groups import FreeGroup, folner_search, sorted_subset
 from .ideals import distinguish_subgroups, ideal_membership_IH
 from .serialize import (
     coeff_from_json,
@@ -108,7 +108,7 @@ def cmd_theta(args) -> dict:
 def cmd_folner(args) -> dict:
     obj = load_json(args.infile)
     G = group_from_json(obj["group"])
-    S = FiniteSubset.of(G, (G.elem_from_json(g) for g in obj["s"]))
+    S = sorted_subset(G, (G.elem_from_json(g) for g in obj["s"]))
     ratio = QQ.from_json(obj["ratio"])
     budget = obj.get("budget", args.budget)
     if not _is_int(budget):

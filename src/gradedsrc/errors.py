@@ -9,10 +9,6 @@ class MixedRings(GradedSrcError):
     """Operands belong to different coefficient rings or ring descriptors."""
 
 
-class MixedGroups(GradedSrcError):
-    """Operands belong to different groups."""
-
-
 class DivisionByZero(GradedSrcError):
     pass
 

@@ -3,8 +3,10 @@
 Three families: free groups (reduced words), free abelian groups (integer
 vectors), and explicit finite groups (element list + multiplication table).
 Elements are plain hashable values; the descriptor supplies the operations.
-Each family also supplies its Folner schedule (``folner_schedule``), its JSON
-form (``to_json``) and its coset classifier (``cosets``).
+Each family also supplies its generators (``generators``), from which balls
+are derived, its Folner schedule (``folner_schedule``), its JSON form
+(``to_json``) and its coset classifier (``cosets``).  A finite subset is a
+tuple of distinct elements in the group's canonical order (``sorted_subset``).
 
 Canonical orderings: shortlex on words (a < a^-1 < b < b^-1 ...), plain
 lexicographic on integer vectors, list position for finite groups.
@@ -18,7 +20,7 @@ from fractions import Fraction
 from operator import add, itemgetter, neg
 
 from .coeff import _is_int
-from .errors import FolnerNotFound, InfiniteIndex, MixedGroups
+from .errors import FolnerNotFound, InfiniteIndex
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 # Largest order the symmetric and cyclic families build: their tables hold
@@ -83,10 +85,6 @@ class FreeGroup:
     def sort_key(self, g):
         return (len(g), tuple(self._letter_key(x) for x in g))
 
-    def ball_elements(self, r: int):
-        gens = self.generators()
-        return _bfs(self.mul, [self.identity], gens + [self.inv(g) for g in gens], r)
-
     def folner_schedule(self, budget: int) -> tuple:
         """(candidate sets, exhaustion message): balls of radius 0..budget.
         For rank >= 2 no sets are Folner sets, so a bound near 1 exhausts it."""
@@ -105,6 +103,8 @@ class FreeGroup:
         )
 
     def elem_from_json(self, obj):
+        if not isinstance(obj, str):
+            raise ValueError(f"free-group element {obj!r} must be a string of letters")
         out = self.identity
         for tok in obj.split():
             if len(tok) != 1 or tok.lower() not in _LETTERS:
@@ -142,15 +142,11 @@ class FreeAbelian:
     def inv(self, g):
         return tuple(map(neg, g))
 
+    def generators(self):
+        return [tuple(int(i == k) for i in range(self.rank)) for k in range(self.rank)]
+
     def sort_key(self, g):
         return g
-
-    def ball_elements(self, r: int):  # the L1 ball
-        return {v for v in itertools.product(range(-r, r + 1), repeat=self.rank)
-                if sum(map(abs, v)) <= r}
-
-    def box_elements(self, side: int):
-        return set(itertools.product(range(side), repeat=self.rank))
 
     def folner_schedule(self, budget: int) -> tuple:
         """(candidate sets, exhaustion message): boxes [0, L)^d, L = 1..budget."""
@@ -236,11 +232,13 @@ class FiniteGroup:
             for row in rows:
                 if rows[row[s]] != a_sc(row):
                     raise ValueError("multiplication table is not associative")
-        self.generators_list = generators or tuple(g for g in els if g != self.identity)
+        self._generators = generators or tuple(g for g in els if g != self.identity)
 
     @classmethod
     def symmetric(cls, n: int) -> "FiniteGroup":
         """S_n acting on {0..n-1}; composition applies the right factor first."""
+        if n < 0:
+            raise ValueError(f"S_n needs n >= 0, not {n}")
         if n > ORDER_CAP or math.factorial(n) > ORDER_CAP:
             raise ValueError(f"S_{n} has more than {ORDER_CAP} elements")
         els = sorted(itertools.permutations(range(n)))
@@ -265,6 +263,8 @@ class FiniteGroup:
     @classmethod
     def cyclic(cls, n: int) -> "FiniteGroup":
         """C_n with elements 0..n-1 under addition mod n."""
+        if n < 1:
+            raise ValueError(f"C_n needs n >= 1, not {n}")
         if n > ORDER_CAP:
             raise ValueError(f"C_{n} has more than {ORDER_CAP} elements")
         els = tuple(range(n))
@@ -279,13 +279,12 @@ class FiniteGroup:
     def sort_key(self, g):
         return self._index[g]
 
-    def ball_elements(self, r: int):
-        gens = list(self.generators_list)
-        return _bfs(self.mul, [self.identity], gens + [self._inv[g] for g in gens], r)
+    def generators(self):
+        return self._generators
 
     def folner_schedule(self, budget: int) -> tuple:
         """(candidate sets, exhaustion message): the whole group, whatever the budget."""
-        return [FiniteSubset.of(self, self.elements)], "whole finite group does not meet the bound"
+        return [self.elements], "whole finite group does not meet the bound"
 
     def to_json(self) -> dict:
         if self.kind == "perm":
@@ -331,57 +330,35 @@ class FiniteGroup:
 # ---------------------------------------------------------------------------
 
 
-class FiniteSubset:
-    """Deduplicated subset of one group, kept in canonical sorted order."""
-
-    def __init__(self, group, elements: tuple):
-        self.group = group
-        self.elements = elements
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.group, self.elements) == (other.group, other.elements)
-
-    def __hash__(self):
-        return hash((self.group, self.elements))
-
-    @classmethod
-    def of(cls, group, elements) -> "FiniteSubset":
-        els = sorted(set(elements), key=group.sort_key)
-        return cls(group, tuple(els))
-
-    def __len__(self):
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
+def sorted_subset(G, elements) -> tuple:
+    """The distinct ``elements`` in ``G.sort_key`` order: a finite subset of G."""
+    return tuple(sorted(set(elements), key=G.sort_key))
 
 
-def ball(G, r: int) -> FiniteSubset:
+def ball(G, r: int) -> tuple:
+    """Elements of word length <= r in ``G.generators()`` and their inverses."""
     if r < 0:
         raise ValueError("radius must be >= 0")
-    return FiniteSubset.of(G, G.ball_elements(r))
+    gens = G.generators()
+    return sorted_subset(G, _bfs(G.mul, [G.identity], [*gens, *map(G.inv, gens)], r))
 
 
-def box(G: FreeAbelian, side: int) -> FiniteSubset:
-    return FiniteSubset.of(G, G.box_elements(side))
+def box(G: FreeAbelian, side: int) -> tuple:
+    """[0, side)^d in Z^d, in lexicographic (canonical) order."""
+    return tuple(itertools.product(range(side), repeat=G.rank))
 
 
-def product_set(S: FiniteSubset, F: FiniteSubset) -> FiniteSubset:
-    if S.group != F.group:
-        raise MixedGroups("product of subsets of different groups")
-    G = S.group
-    return FiniteSubset.of(G, {G.mul(s, f) for s in S for f in F})
+def product_set(G, S: tuple, F: tuple) -> tuple:
+    return sorted_subset(G, {G.mul(s, f) for s in S for f in F})
 
 
-def folner_ratio_ok(S: FiniteSubset, F: FiniteSubset, ratio_bound: Fraction):
+def folner_ratio_ok(G, S: tuple, F: tuple, ratio_bound: Fraction):
     """SF if |SF| < ratio_bound * |F| (strict, exact), else False."""
-    sf = product_set(S, F)
+    sf = product_set(G, S, F)
     return sf if len(sf) * ratio_bound.denominator < ratio_bound.numerator * len(F) else False
 
 
-def folner_search(G, S: FiniteSubset, ratio_bound, budget: int) -> tuple:
+def folner_search(G, S: tuple, ratio_bound, budget: int) -> tuple:
     """(F, SF) for the first F of ``G.folner_schedule(budget)`` with
     |SF| < ratio_bound * |F|; FolnerNotFound with the schedule's message if
     none meets the bound."""
@@ -392,7 +369,7 @@ def folner_search(G, S: FiniteSubset, ratio_bound, budget: int) -> tuple:
         raise ValueError(f"budget must be >= 0, not {budget}")
     schedule, failure = G.folner_schedule(budget)
     for F in schedule:
-        SF = folner_ratio_ok(S, F, ratio_bound)
+        SF = folner_ratio_ok(G, S, F, ratio_bound)
         if SF is not False:  # an empty S gives an empty, falsy SF
             return F, SF
     raise FolnerNotFound(failure)
@@ -487,7 +464,7 @@ class FiniteCosets:
         self.generators = tuple(generators)
         gens = self.generators + tuple(map(G.inv, self.generators))
         sub = _bfs(G.mul, [G.identity], gens)
-        self.subgroup = FiniteSubset.of(G, sub)
+        self.subgroup = sorted_subset(G, sub)
         self.cosets = []
         self._coset_of = {}
         for g in G.elements:  # in canonical order

@@ -36,7 +36,7 @@ def random_ideal_element(ring: GroupRing, H, rng: random.Random,
     """Random member of I_H: a sum of coefficient-weighted differences of
     elements lying in a common coset."""
     G = ring.group
-    pool = list(ball(G, radius))
+    pool = ball(G, radius)
     gens = H.generators or (G.identity,)
     out = ring.zero()
     for _ in range(terms):

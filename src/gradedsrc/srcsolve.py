@@ -17,7 +17,7 @@ from fractions import Fraction
 from .coeff import ExtField, Integers, PrimeField, Rationals
 from .errors import UnexpectedEmptyKernel
 from .gring import GroupRing
-from .groups import FiniteSubset, ball, folner_search
+from .groups import ball, folner_search, sorted_subset
 # kernel_basis stays importable from this module: perfbench's self-tests reach it here
 from .linalg import kernel_basis, kernel_vectors  # noqa: F401
 
@@ -39,12 +39,8 @@ class LinearSystem:
                 if x.ring != ring:
                     raise ValueError("coefficient from a different ring")
 
-    def union_support(self) -> FiniteSubset:
-        els = set()
-        for row in self.a:
-            for x in row:
-                els.update(x.terms)
-        return FiniteSubset.of(self.ring.group, els)
+    def union_support(self) -> tuple:
+        return sorted_subset(self.ring.group, (g for row in self.a for x in row for g in x.terms))
 
 
 class LiftedSystem:
@@ -124,7 +120,7 @@ def solve_src(sys: LinearSystem, budget: int = 64) -> SolutionVector:
     if not isinstance(sys.ring.coeff, (Rationals, Integers, PrimeField, ExtField)):
         raise TypeError(f"unsupported coefficient ring {sys.ring.coeff!r}")
     S = sys.union_support()
-    if not len(S):
+    if not S:
         xs = (sys.ring.one(),) + tuple(sys.ring.zero() for _ in range(sys.n - 1))
         return SolutionVector(xs, verified=True)
     ratio = Fraction(sys.n, sys.m)
@@ -142,7 +138,7 @@ def solve_src(sys: LinearSystem, budget: int = 64) -> SolutionVector:
 
 
 class TruncatedKernelReport:
-    def __init__(self, radius: int, domain: FiniteSubset, ncols: int, rank: int, basis: list):
+    def __init__(self, radius: int, domain: tuple, ncols: int, rank: int, basis: list):
         self.radius = radius
         self.domain = domain
         self.ncols = ncols

@@ -30,13 +30,13 @@ from gradedsrc.gring import (
 )
 from gradedsrc.groups import (
     FiniteGroup,
-    FiniteSubset,
     FreeAbelian,
     FreeGroup,
     ball,
     box,
     folner_ratio_ok,
     product_set,
+    sorted_subset,
 )
 from gradedsrc.ideals import (
     distinguish_subgroups,
@@ -143,12 +143,12 @@ def test_criterion_1_pipeline():
 
 
 def test_criterion_2_folner_minimal_side():
-    S = FiniteSubset.of(Z2, [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)])
+    S = sorted_subset(Z2, [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)])
     sides = {}
     for side in range(1, 7):
         F = box(Z2, side)
-        sides[side] = (len(product_set(S, F)), 2 * len(F),
-                       folner_ratio_ok(S, F, Fraction(2)))
+        sides[side] = (len(product_set(Z2, S, F)), 2 * len(F),
+                       folner_ratio_ok(Z2, S, F, Fraction(2)))
     ok = (
         min(s for s, (_, _, good) in sides.items() if good) == 5
         and sides[5][:2] == (45, 50)

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
@@ -406,6 +407,11 @@ def group_system(group, g, h):
             "a": [[[[g, "1"], [h, "1"]], [[h, "1"]]]]}
 
 
+def empty_system(group):
+    """The all-zero 1 x 2 system over Q[group]."""
+    return {"group": group, "coeff": {"ring": "Q"}, "m": 1, "n": 2, "a": [[[], []]]}
+
+
 @pytest.mark.parametrize("group, g, h", [
     ({"family": "abelian", "rank": True}, [0], [1]),
     ({"family": "free", "rank": True}, "", "a"),
@@ -707,6 +713,8 @@ FREE_FOLNER = {"group": {"family": "free", "rank": 2}, "s": ["", "a", "A", "b", 
 FP4_SYSTEM = {**one_pm_t_json(), "coeff": {"ring": "Fp", "p": 4}}
 ZSQRT5_SYSTEM = {**one_pm_t_json(), "coeff": {"ring": "Zsqrt-5"},
                  "a": [[[[[0], [1, 0]], [[1], [1, 0]]], [[[0], [1, 0]], [[1], [-1, 0]]]]]}
+FREE_TERM_SYSTEM = {"group": {"family": "free", "rank": 2}, "coeff": {"ring": "Q"}, "m": 1,
+                    "n": 2, "a": [[[[1, "1"]], [["a", "1"]]]]}
 NO_FILE = "bad input: [Errno 2] No such file or directory: "
 
 
@@ -726,6 +734,20 @@ FAILURES = {
                      "bad input: unsupported coefficient ring Zsqrt-5\n"),
     "missing-in": (["solve", "--in", "missing.json"], {}, 1,
                    NO_FILE + "'{dir}/missing.json'\n"),
+    "folner-free-int": (["folner", "--in", "s.json"],
+                        {"s.json": {**FREE_FOLNER, "s": ["", "a", 2]}}, 1,
+                        "bad input: free-group element 2 must be a string of letters\n"),
+    "solve-free-int": (["solve", "--in", "t.json"], {"t.json": FREE_TERM_SYSTEM}, 1,
+                       "bad input: free-group element 1 must be a string of letters\n"),
+    "cyclic-0": (["solve", "--in", "c.json"],
+                 {"c.json": empty_system({"family": "cyclic", "n": 0})}, 1,
+                 "bad input: C_n needs n >= 1, not 0\n"),
+    "cyclic-negative": (["solve", "--in", "c.json"],
+                        {"c.json": empty_system({"family": "cyclic", "n": -3})}, 1,
+                        "bad input: C_n needs n >= 1, not -3\n"),
+    "symmetric-negative": (["solve", "--in", "s.json"],
+                           {"s.json": empty_system({"family": "symmetric", "n": -1})}, 1,
+                           "bad input: S_n needs n >= 0, not -1\n"),
 }
 
 
@@ -741,6 +763,69 @@ def test_failure_path_pinned(tmp_path, capsys, case):
     assert captured.err == err.format(dir=tmp_path)
     assert captured.out == ""
     assert not out.exists()
+
+
+# valid inputs of the commands that read a file, each with its command and options
+FUZZ_SEEDS = [
+    (["solve", "--budget", "3"], one_pm_t_json()),
+    (["solve", "--budget", "3"], footnote_json()),
+    (["solve", "--budget", "3"], group_system({"family": "symmetric", "n": 3}, [2, 1, 3], [1, 3, 2])),
+    (["solve", "--budget", "3"], group_system({"family": "cyclic", "n": 3}, 1, 2)),
+    (["solve", "--budget", "3"], group_system(Z2_Z3_GROUP, [1, 0], [0, 1])),
+    (["folner", "--budget", "3"], FREE_FOLNER),
+    (["folner", "--budget", "3"], {"group": {"family": "abelian", "rank": 2},
+                                   "s": [[0, 0], [1, 0], [0, 1]], "ratio": "2"}),
+    (["ideal"], {"group": {"family": "abelian", "rank": 1}, "h": [[2]], "k": [[3]],
+                 "r": [[[0], "1"], [[2], "-1"]]}),
+    (["ideal"], {"group": {"family": "symmetric", "n": 3}, "h": [[2, 1, 3]], "k": [[1, 3, 2]],
+                 "r": [[[1, 2, 3], "1"], [[2, 1, 3], "-1"]]}),
+]
+SCALARS = st.one_of(st.integers(-3, 3), st.text("aAbB1-/ ", max_size=3), st.none(),
+                    st.booleans(), st.floats())
+
+
+def json_containers(inner):
+    return st.lists(inner, max_size=3) | st.dictionaries(st.text("aAbB1", max_size=2), inner,
+                                                         max_size=3)
+
+
+JSON_VALUES = SCALARS | json_containers(SCALARS | json_containers(SCALARS))
+
+
+def leaf_paths(obj, path=()):
+    """Key paths to the scalars and empty containers of a JSON value."""
+    if isinstance(obj, (dict, list)) and obj:
+        for k, v in obj.items() if isinstance(obj, dict) else enumerate(obj):
+            yield from leaf_paths(v, path + (k,))
+    else:
+        yield path
+
+
+@given(st.sampled_from(FUZZ_SEEDS), st.data())
+@settings(max_examples=300, deadline=None)
+def test_malformed_input_fails_in_one_stderr_line(seed, data):
+    argv, obj = seed
+    obj = through_json(obj)
+    paths = data.draw(st.lists(st.sampled_from(list(leaf_paths(obj))), min_size=1, max_size=2,
+                               unique=True))
+    for *up, last in paths:
+        parent = obj
+        for k in up:
+            parent = parent[k]
+        parent[last] = data.draw(JSON_VALUES)
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as d:
+        infile = os.path.join(d, "in.json")
+        with open(infile, "w") as fh:
+            json.dump(obj, fh)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([argv[0], "--in", infile, *argv[1:]])
+    lines = err.getvalue().splitlines()
+    if code == 0:
+        assert lines == []
+    else:
+        assert code in (1, 2) and len(lines) == 1, (code, lines)
+        assert lines[0].startswith(("bad input:", "error:", "folner search failed:")), lines
 
 
 def test_out_into_missing_directory_is_bad_input(tmp_path, capsys):

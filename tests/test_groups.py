@@ -6,17 +6,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gradedsrc.errors import FolnerNotFound, InfiniteIndex, MixedGroups
+from gradedsrc.errors import FolnerNotFound, InfiniteIndex
 from gradedsrc.groups import (
     FiniteGroup,
-    FiniteSubset,
     FreeAbelian,
     FreeGroup,
+    _bfs,
     ball,
     box,
     folner_search,
     hermite_normal_form,
     product_set,
+    sorted_subset,
 )
 
 F2 = FreeGroup(2)
@@ -122,6 +123,7 @@ def test_non_associativity_away_from_first_generator_rejected():
 def test_known_groups_accepted():
     S4 = FiniteGroup.symmetric(4)
     assert len(S4.elements) == 24 and S4.identity == (0, 1, 2, 3)
+    assert FiniteGroup.symmetric(0).elements == ((),)  # S_0, the trivial group
     for n in range(1, 13):
         C = FiniteGroup.cyclic(n)
         assert C.identity == 0 and all(C.mul(g, C.inv(g)) == 0 for g in C.elements)
@@ -194,35 +196,72 @@ def test_ball_sizes_free():
         assert len(ball(F2, r)) == 2 * 3**r - 1
 
 
+def reference_ball(G, r):
+    """The ball each family computed by its own ``ball_elements`` before
+    ``ball`` walked ``G.generators()``: the L1 ball of Z^d, and a walk over
+    the generators and their inverses for free and finite groups."""
+    if isinstance(G, FreeAbelian):  # the L1 ball
+        return {v for v in itertools.product(range(-r, r + 1), repeat=G.rank)
+                if sum(map(abs, v)) <= r}
+    if isinstance(G, FreeGroup):
+        gens = G.generators()
+        return _bfs(G.mul, [G.identity], gens + [G.inv(g) for g in gens], r)
+    gens = list(G.generators())
+    return _bfs(G.mul, [G.identity], gens + [G._inv[g] for g in gens], r)
+
+
+C2_C3 = list(itertools.product(range(2), range(3)))
+C2_C3_ROWS = [[C2_C3.index(((g[0] + h[0]) % 2, (g[1] + h[1]) % 3)) for h in C2_C3] for g in C2_C3]
+BALL_GROUPS = {
+    **{f"F{d}": FreeGroup(d) for d in (1, 2, 3)},
+    **{f"Z{d}": FreeAbelian(d) for d in (1, 2, 3)},
+    "S3": FiniteGroup.symmetric(3),
+    "S4": FiniteGroup.symmetric(4),
+    "C5": FiniteGroup.cyclic(5),
+    "C2xC3-declared": FiniteGroup(C2_C3, C2_C3_ROWS, generators=[(1, 0), (0, 1)]),
+    "C2xC3": FiniteGroup(C2_C3, C2_C3_ROWS),
+}
+
+
+@pytest.mark.parametrize("name", BALL_GROUPS)
+def test_ball_is_the_families_own_ball(name):
+    G = BALL_GROUPS[name]
+    for r in range(4):
+        assert ball(G, r) == tuple(sorted(reference_ball(G, r), key=G.sort_key))
+
+
+def test_box_is_the_sorted_product():
+    for d in (1, 2, 3):
+        Z = FreeAbelian(d)
+        for side in range(5):
+            cube = itertools.product(range(side), repeat=d)
+            assert box(Z, side) == tuple(sorted(cube, key=Z.sort_key))
+
+
 def test_ball_abelian_r0():
-    assert ball(Z2, 0).elements == ((0, 0),)
+    assert ball(Z2, 0) == ((0, 0),)
 
 
 def test_product_set_counts():
-    S = FiniteSubset.of(Z2, [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)])
-    assert len(product_set(S, box(Z2, 5))) == 45
-    single = FiniteSubset.of(Z2, [(7, -3)])
-    assert len(product_set(S, single)) == len(S)
-    assert product_set(ball(F2, 1), ball(F2, 2)).elements == ball(F2, 3).elements
-
-
-def test_product_set_mixed_groups():
-    with pytest.raises(MixedGroups):
-        product_set(ball(F2, 1), ball(Z2, 1))
+    S = sorted_subset(Z2, [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)])
+    assert len(product_set(Z2, S, box(Z2, 5))) == 45
+    single = sorted_subset(Z2, [(7, -3)])
+    assert len(product_set(Z2, S, single)) == len(S)
+    assert product_set(F2, ball(F2, 1), ball(F2, 2)) == ball(F2, 3)
 
 
 def test_folner_z2_cross():
-    S = FiniteSubset.of(Z2, [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)])
+    S = sorted_subset(Z2, [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)])
     F, _ = folner_search(Z2, S, Fraction(2), 20)
     assert len(F) == 25  # box of side 5; side 4 fails the strict bound
-    assert len(product_set(S, F)) == 45
+    assert len(product_set(Z2, S, F)) == 45
 
 
 def test_folner_finite_group():
     S3 = FiniteGroup.symmetric(3)
-    S = FiniteSubset.of(S3, S3.elements[:3])
+    S = sorted_subset(S3, S3.elements[:3])
     F, _ = folner_search(S3, S, Fraction(101, 100), 1)
-    assert set(F.elements) == set(S3.elements)
+    assert set(F) == set(S3.elements)
 
 
 def test_folner_free_group_exhausts():
@@ -231,9 +270,9 @@ def test_folner_free_group_exhausts():
 
 
 def test_folner_recheck_strict():
-    S = FiniteSubset.of(Z2, [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)])
+    S = sorted_subset(Z2, [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)])
     F, _ = folner_search(Z2, S, Fraction(2), 20)
-    assert len(product_set(S, F)) * 1 < 2 * len(F)
+    assert len(product_set(Z2, S, F)) * 1 < 2 * len(F)
 
 
 def test_hermite_normal_form():
@@ -269,7 +308,7 @@ def test_cosets_z2_mod_2x2():
 def test_cached_lookups_agree_with_scans():
     B = box(Z2, 3)
     probe = list(box(Z2, 5))
-    assert [g in B for g in probe] == [g in set(B.elements) for g in probe]
+    assert [g in B for g in probe] == [g in set(B) for g in probe]
     c = Z2.cosets([(2, 1), (0, 3)])
     assert [c.index(g) for g in probe] == [
         c.representatives.index(c.reduce(g)) for g in probe
@@ -330,12 +369,12 @@ def test_free_canonical_idempotent_and_inverse(u, v):
 def test_ball_nesting_and_growth(r, d):
     B_r = ball(F2, r)
     B_next = ball(F2, r + 1)
-    assert set(B_r.elements) <= set(B_next.elements)
-    assert product_set(ball(F2, 1), B_r).elements == B_next.elements
+    assert set(B_r) <= set(B_next)
+    assert product_set(F2, ball(F2, 1), B_r) == B_next
 
 
 @given(st.sets(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), min_size=1, max_size=6))
 def test_sf_at_least_f(s_els):
-    S = FiniteSubset.of(Z2, s_els)
+    S = sorted_subset(Z2, s_els)
     F = box(Z2, 3)
-    assert len(product_set(S, F)) >= len(F)
+    assert len(product_set(Z2, S, F)) >= len(F)

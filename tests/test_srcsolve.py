@@ -12,13 +12,13 @@ from gradedsrc.errors import FolnerNotFound
 from gradedsrc.gring import GRElement, GroupRing, IntConstPolyRing
 from gradedsrc.groups import (
     FiniteGroup,
-    FiniteSubset,
     FreeAbelian,
     FreeGroup,
     ball,
     box,
     folner_search,
     product_set,
+    sorted_subset,
 )
 from gradedsrc.linalg import kernel_basis, kernel_vectors, rank
 from gradedsrc.srcsolve import (
@@ -47,12 +47,12 @@ def lift_on(sys, F):
     """``sys`` lifted to F with f-major columns and rows in SF, as ``solve_src``
     lifts it."""
     col_index = [(j, f) for f in F for j in range(sys.n)]
-    return lift_system(sys.a, col_index, product_set(sys.union_support(), F))
+    return lift_system(sys.a, col_index, product_set(sys.ring.group, sys.union_support(), F))
 
 
 def test_lift_matrix_frozen(qz):
     sys = one_pm_t_system(qz)
-    F = FiniteSubset.of(Z, [(0,), (1,), (2,)])
+    F = sorted_subset(Z, [(0,), (1,), (2,)])
     lifted = lift_on(sys, F)
     assert [[int(a) for a in row] for row in lifted.matrix] == [
         [1, 1, 0, 0, 0, 0],
@@ -66,7 +66,7 @@ def test_lift_matrix_frozen(qz):
 
 def test_lift_with_singleton_folner_set(qz):
     sys = one_pm_t_system(qz)
-    lifted = lift_on(sys, FiniteSubset.of(Z, [(0,)]))
+    lifted = lift_on(sys, sorted_subset(Z, [(0,)]))
     # constant-term equations indexed by S = {1, t}
     assert [[int(a) for a in row] for row in lifted.matrix] == [[1, 1], [1, -1]]
 
@@ -84,7 +84,7 @@ def test_lift_selector_matrix(qz2):
 
 def test_lift_kernel_dimension_and_membership(qz):
     sys = one_pm_t_system(qz)
-    F = FiniteSubset.of(Z, [(0,), (1,), (2,)])
+    F = sorted_subset(Z, [(0,), (1,), (2,)])
     lifted = lift_on(sys, F)
     basis = kernel_basis(lifted.matrix, QQ, ncols=6)
     assert len(basis) == 2
@@ -96,7 +96,7 @@ def test_lift_kernel_dimension_and_membership(qz):
 
 def test_assemble_examples(qz):
     sys = one_pm_t_system(qz)
-    F = FiniteSubset.of(Z, [(0,), (1,), (2,)])
+    F = sorted_subset(Z, [(0,), (1,), (2,)])
     kv = [Fraction(c) for c in (1, -1, -1, -1, 0, 0)]
     xs = assemble_solution(qz, 2, [(j, f) for f in F for j in range(2)], kv)
     x1, x2 = xs
@@ -425,7 +425,7 @@ def reference_lift_system(sys, F, SF=None):
     if not len(S):
         raise ValueError("all coefficients are zero")
     G, m = sys.ring.group, sys.m
-    SF = product_set(S, F) if SF is None else SF
+    SF = product_set(G, S, F) if SF is None else SF
     row_index = [(g, i) for g in SF for i in range(m)]
     first_row = {g: r * m for r, g in enumerate(SF)}  # of (g, 0); (g, i) is i rows on
     col_index = [(j, f) for f in F for j in range(sys.n)]
