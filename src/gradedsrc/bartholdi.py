@@ -229,18 +229,17 @@ class AlphaFamily:
 
 
 def admissible_families(sys: SetSystem):
-    """All families {T_s} with sum |X_{s,T_s}| >= |Y|, in deterministic order."""
+    """All families {T_s} with sum |X_{s,T_s}| >= |Y|, in deterministic order.
+    |X_{s,T}| is tabulated once per label and subset T, not per family."""
     subsets = list(
         itertools.chain.from_iterable(
             itertools.combinations(sys.labels, k) for k in range(len(sys.labels) + 1)
         )
     )
-    out = []
-    for family in itertools.product(subsets, repeat=len(sys.labels)):
-        v = sum(len(sys.x_restricted(s, family[i])) for i, s in enumerate(sys.labels))
-        if v >= sys.size:
-            out.append(dict(zip(sys.labels, family)))
-    return out
+    sizes = [[len(sys.x_restricted(s, T)) for T in subsets] for s in sys.labels]
+    families = itertools.product(subsets, repeat=len(sys.labels))
+    return [dict(zip(sys.labels, family))
+            for family, v in zip(families, itertools.product(*sizes)) if sum(v) >= sys.size]
 
 
 def family_rows(sys: SetSystem, family: dict):

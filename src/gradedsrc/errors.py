@@ -13,8 +13,8 @@ class DivisionByZero(GradedSrcError):
     pass
 
 
-class NotPrime(GradedSrcError):
-    pass
+class NotPrime(GradedSrcError, ValueError):
+    """A field characteristic that is not prime: bad input, not a fault."""
 
 
 class InexactDivision(GradedSrcError):

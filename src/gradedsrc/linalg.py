@@ -2,8 +2,8 @@
 
 Kernels go through one sparse engine, ``kernel_vectors``, which takes one
 ``{row: entry}`` dict per column; ``kernel_basis`` is its dense front end.
-``rref``, ``rank`` and ``determinant`` work on small dense matrices, lists of
-row lists.  Everything runs through the ring descriptor protocol.  Q and Z
+``rank`` and ``determinant`` work on small dense matrices, lists of row
+lists.  Everything runs through the ring descriptor protocol.  Q and Z
 kernels run mod a prime first and are checked exactly; integer kernels are
 cleared to primitive vectors.  F_q kernels run on element indices, with
 the field's log/Zech tables, below the size cap of ``ExtField.index_field``.
@@ -24,36 +24,35 @@ _MODULAR = PrimeField(MODULUS)
 _LIFT_BOUND = 1 << 30  # 2 * _LIFT_BOUND**2 < MODULUS: reconstruction is unique
 
 
-def rref(matrix, ring, ncols=None):
-    """Reduced row echelon form.  Returns (rows, pivot_columns)."""
-    rows = [list(r) for r in matrix]
-    nr = len(rows)
-    nc = ncols if ncols is not None else (len(rows[0]) if rows else 0)
-    zero = ring.zero
-    pivots = []
-    r = 0
-    for c in range(nc):
-        pr = next((i for i in range(r, nr) if not ring.is_zero(rows[i][c])), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = ring.inv(rows[r][c])
-        rows[r] = [a if a == zero else ring.mul(inv, a) for a in rows[r]]
-        piv = rows[r]
-        for i in range(nr):
-            if i != r and not ring.is_zero(rows[i][c]):
-                f = rows[i][c]
-                rows[i] = [
-                    a if b == zero else ring.sub(a, ring.mul(f, b))
-                    for a, b in zip(rows[i], piv)
-                ]
-        pivots.append(c)
-        r += 1
-    return rows, pivots
-
-
 def rank(matrix, ring, ncols=None) -> int:
-    return len(rref(matrix, ring, ncols)[1])
+    """Rank of a dense matrix, read one row at a time.
+
+    Each row is reduced by the echelon rows kept so far, one per pivot
+    column, each with entry one at its pivot and zero before it, so a
+    reduction changes only the columns after the pivot.  A row with an entry
+    left is kept, with its pivot at its first nonzero column.  The walk
+    stops once every one of the ``ncols`` columns holds a pivot: a matrix
+    whose leading rows have full column rank is read only that far."""
+    nc = ncols if ncols is not None else (len(matrix[0]) if matrix else 0)
+    is_zero, mul, sub = ring.is_zero, ring.mul, ring.sub
+    echelon = {}  # pivot column -> [(column, entry)] of its row's nonzero tail
+    for row in matrix:
+        if len(echelon) == nc:
+            break
+        row = list(row)
+        for c in range(nc):
+            a = row[c]
+            if is_zero(a):
+                continue
+            tail = echelon.get(c)
+            if tail is None:
+                inv = ring.inv(a)
+                echelon[c] = [(j, mul(inv, row[j])) for j in range(c + 1, nc)
+                              if not is_zero(row[j])]
+                break
+            for j, b in tail:
+                row[j] = sub(row[j], mul(a, b))
+    return len(echelon)
 
 
 def determinant(matrix, ring):

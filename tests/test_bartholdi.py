@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -31,6 +32,8 @@ from gradedsrc.bartholdi import (
 )
 from gradedsrc.linalg import kernel_vectors
 from gradedsrc.srcsolve import truncated_kernel
+
+from dense_reference import rref
 
 F2 = FreeGroup(2)
 
@@ -217,6 +220,23 @@ def test_admissible_families_structure(system10):
         assert v == 12
 
 
+def direct_admissible_families(sys):
+    """``admissible_families`` by set arithmetic on every family."""
+    subsets = list(itertools.chain.from_iterable(
+        itertools.combinations(sys.labels, k) for k in range(len(sys.labels) + 1)))
+    return [dict(zip(sys.labels, family))
+            for family in itertools.product(subsets, repeat=len(sys.labels))
+            if sum(len(sys.x_restricted(s, T)) for s, T in zip(sys.labels, family)) >= sys.size]
+
+
+@pytest.mark.parametrize("s_size, y_max", [(2, 10), (3, 20), (4, 14)])
+def test_admissible_families_equal_the_direct_walk(s_size, y_max):
+    system = search_set_system(s_size, y_max)
+    families = admissible_families(system)
+    assert families == direct_admissible_families(system)
+    assert [list(f) for f in families] == [list(system.labels)] * len(families)
+
+
 def test_construct_and_verify_roundtrip(system10, alphas10):
     assert alphas10.field.p == 2 and alphas10.field.k == 7
     assert alphas10.provenance["attempt"] == 0
@@ -331,6 +351,66 @@ def test_perturbation_breaks_dependent_families(system10, alphas10):
     rep = verify_alphas(AlphaFamily(L, system10, matrices))
     assert rep.row_support_ok
     assert all(not f["ok"] for f in rep.families)
+
+
+def rref_verify_alphas(fam):
+    """(families, ok) of ``verify_alphas``, each stack's rank read off its
+    dense reduced row echelon form.  A stack is fixed by its row tuple, so
+    each distinct one is reduced once."""
+    L, sys = fam.field, fam.set_system
+    m = sys.size
+    support_ok = all(L.is_zero(v) for s in sys.labels for i in range(1, m + 1)
+                     if i not in sys.X[s] for v in fam.matrices[s][i - 1])
+    ranks, families = {}, []
+    for family in admissible_families(sys):
+        rows = tuple(family_rows(sys, family))
+        if rows not in ranks:
+            ranks[rows] = len(rref([fam.matrices[s][i - 1] for s, i in rows], L, m)[1])
+        families.append({"family": {str(s): sorted(family[s]) for s in sys.labels},
+                         "v": len(rows), "rank": ranks[rows], "ok": ranks[rows] == m})
+    return families, support_ok and all(f["ok"] for f in families)
+
+
+@pytest.mark.parametrize("s_size, y_max, p, seed", [
+    *[(2, 10, p, seed) for p in (2, 3) for seed in ALPHA_SEEDS],
+    (3, 20, 2, 0),  # W2's alpha family, over F_{2^13}
+    (3, 20, 3, 1),  # over F_{3^8}
+])
+def test_verify_alphas_matches_the_rref_reference(s_size, y_max, p, seed):
+    fam = construct_alphas(search_set_system(s_size, y_max), ff_extend(p, 1), seed)
+    rep = verify_alphas(fam)
+    assert (rep.families, rep.ok) == rref_verify_alphas(fam)
+    assert rep.ok
+
+
+@pytest.fixture(scope="module")
+def alphas12():
+    return construct_alphas(search_set_system(3, 20), ff_extend(3, 1), seed=1)
+
+
+def test_broken_rows_report_their_true_rank(alphas12):
+    # every stack of exactly m rows has full rank, so each row broken in it
+    # costs one: row 10 of A_0 is zeroed, and row 10 of A_2 becomes the sum
+    # of rows 6 and 7 of A_2, which every such stack holds
+    L, sys = alphas12.field, alphas12.set_system
+    m = sys.size
+    zeroed, summed, sources = (0, 10), (2, 10), [(2, 6), (2, 7)]
+    matrices = {s: [row[:] for row in alphas12.matrices[s]] for s in sys.labels}
+    matrices[0][9] = [L.zero] * m
+    matrices[2][9] = [L.add(a, b) for a, b in zip(matrices[2][5], matrices[2][6])]
+    broken = AlphaFamily(L, sys, matrices)
+    rep = verify_alphas(broken)
+    assert (rep.families, rep.ok) == rref_verify_alphas(broken)
+    assert rep.row_support_ok and not rep.ok
+    seen = set()
+    for f, family in zip(rep.families, admissible_families(sys)):
+        rows = family_rows(sys, family)
+        if len(rows) == m:
+            assert all(r in rows for r in sources)
+            broken_rows = (zeroed in rows, summed in rows)
+            assert (f["rank"], f["ok"]) == (m - sum(broken_rows), not any(broken_rows))
+            seen.add(broken_rows)
+    assert {(True, False), (False, True)} <= seen
 
 
 def test_alpha_families_get_their_own_provenance(system10, alphas10):

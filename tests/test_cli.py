@@ -729,7 +729,9 @@ FAILURES = {
     "theta-exhausted": (["theta", "--s", "2", "--ymax", "3"], {}, 3,
                         "set-system search failed: no admissible system with |Y| <= 3\n"),
     "fp-not-prime": (["solve", "--in", "fp4.json"], {"fp4.json": FP4_SYSTEM}, 1,
-                     "error: 4 is not prime\n"),
+                     "bad input: 4 is not prime\n"),
+    "theta-field-not-prime": (["theta", "--field", "4"], {}, 1,
+                              "bad input: 4 is not prime\n"),
     "solve-zsqrt5": (["solve", "--in", "zs.json"], {"zs.json": ZSQRT5_SYSTEM}, 1,
                      "bad input: unsupported coefficient ring Zsqrt-5\n"),
     "missing-in": (["solve", "--in", "missing.json"], {}, 1,

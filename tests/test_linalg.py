@@ -14,8 +14,9 @@ from gradedsrc.linalg import (
     kernel_basis,
     kernel_vectors,
     rank,
-    rref,
 )
+
+from dense_reference import rref
 
 
 def frac(m):
@@ -34,6 +35,7 @@ def test_kernel_of_row():
 def test_rank():
     assert rank(frac([[1, 2], [2, 4]]), QQ) == 1
     assert rank(frac([[1, 0], [0, 1]]), QQ) == 2
+    assert rank([[1, 2, 4], [2, 4, 3], [0, 0, 1]], PrimeField(5), ncols=2) == 1
 
 
 def test_determinant_field():
@@ -97,6 +99,51 @@ def ring_matrices(draw):
     rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
                          min_size=nrows, max_size=nrows))
     return ring, [[elem(a) for a in row] for row in rows], ncols
+
+
+F9 = ff_extend(3, 2)  # polynomial arithmetic in odd characteristic
+RANK_RINGS = {**{name: ENGINE_RINGS[name] for name in ("Q", "F5", "F8")},
+              "F9": (F9, lambda n: F9.from_index(n % 9))}
+
+
+@st.composite
+def rank_matrices(draw):
+    """Up to 14 rows of up to 10 entries: random rows, zero rows and sums of
+    multiples of earlier rows, with ncols the full width, None or smaller."""
+    ring, elem = RANK_RINGS[draw(st.sampled_from(sorted(RANK_RINGS)))]
+    width = draw(st.integers(1, 10))
+    entry = st.one_of(st.just(0), st.integers(1, 8)).map(elem)
+    rows = []
+    for _ in range(draw(st.integers(0, 14))):
+        kind = draw(st.sampled_from(["random", "zero", "dependent"]))
+        if kind == "zero":
+            rows.append([ring.zero] * width)
+        elif kind == "dependent" and rows:
+            row = [ring.zero] * width
+            for src in draw(st.lists(st.sampled_from(rows), min_size=1, max_size=3)):
+                f = draw(entry)
+                row = [ring.add(a, ring.mul(f, b)) for a, b in zip(row, src)]
+            rows.append(row)
+        else:
+            rows.append(draw(st.lists(entry, min_size=width, max_size=width)))
+    ncols = draw(st.one_of(st.none(), st.just(width), st.integers(0, width)))
+    return ring, rows, ncols
+
+
+@given(rank_matrices())
+def test_rank_equals_the_rref_pivot_count(case):
+    ring, matrix, ncols = case
+    assert rank(matrix, ring, ncols) == len(rref(matrix, ring, ncols)[1])
+
+
+def test_rank_stops_at_full_column_rank():
+    class Unread:
+        def __iter__(self):
+            raise AssertionError("a row after full column rank was read")
+
+    F5 = PrimeField(5)
+    assert rank([[1, 2], [1, 3], Unread()], F5) == 2
+    assert rank([[1, 2], [2, 4], [0, 3], Unread()], F5) == 2
 
 
 def rref_vectors(matrix, ring, ncols):
