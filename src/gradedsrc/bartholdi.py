@@ -229,25 +229,23 @@ class AlphaFamily:
 
 
 def admissible_families(sys: SetSystem):
-    """All families {T_s} with sum |X_{s,T_s}| >= |Y|, in deterministic order.
-    |X_{s,T}| is tabulated once per label and subset T, not per family."""
-    subsets = list(
-        itertools.chain.from_iterable(
-            itertools.combinations(sys.labels, k) for k in range(len(sys.labels) + 1)
-        )
-    )
-    sizes = [[len(sys.x_restricted(s, T)) for T in subsets] for s in sys.labels]
+    """Every family {T_s} with sum |X_{s,T_s}| >= |Y|, in deterministic order,
+    paired with its stacked rows (s, i), ordered by label then increasing
+    index.  X_{s,T} is tabulated once per label and subset T, not per family."""
+    subsets = list(itertools.chain.from_iterable(
+        itertools.combinations(sys.labels, k) for k in range(len(sys.labels) + 1)))
+    table = [[tuple((s, i) for i in sorted(sys.x_restricted(s, T))) for T in subsets]
+             for s in sys.labels]
     families = itertools.product(subsets, repeat=len(sys.labels))
-    return [dict(zip(sys.labels, family))
-            for family, v in zip(families, itertools.product(*sizes)) if sum(v) >= sys.size]
+    return [(dict(zip(sys.labels, family)), sum(stack, ()))
+            for family, stack in zip(families, itertools.product(*table))
+            if sum(map(len, stack)) >= sys.size]
 
 
-def family_rows(sys: SetSystem, family: dict):
-    """Stacked row selection (s, i), ordered by label then increasing index."""
-    return [(s, i) for s in sys.labels for i in sorted(sys.x_restricted(s, family[s]))]
+MAX_TRIES = 64  # samples construct_alphas draws before giving up
 
 
-def construct_alphas(sys: SetSystem, K: ExtField, seed: int, max_tries: int = 64) -> AlphaFamily:
+def construct_alphas(sys: SetSystem, K: ExtField, seed: int) -> AlphaFamily:
     """Seeded sampling over a Schwartz-Zippel-sized extension, retrying until
     every admissible family's leading m x m block is nonsingular: the sparse
     engine, on the field's tables below their cap, finds no kernel vector.
@@ -256,33 +254,24 @@ def construct_alphas(sys: SetSystem, K: ExtField, seed: int, max_tries: int = 64
     order of the first family that has it."""
     m = sys.size
     families = admissible_families(sys)
-    blocks = list(dict.fromkeys(tuple(family_rows(sys, family)[:m]) for family in families))
+    blocks = list(dict.fromkeys(rows[:m] for _, rows in families))
     degree_sum = m * len(families)
     rng = random.Random(seed)
-    var_order = [(s, i, j) for s in sys.labels for i in sorted(sys.X[s]) for j in range(1, m + 1)]
     t = 1
     while K.order**t <= 2 * degree_sum:
         t += 1
-    for attempt in range(max_tries):
+    for attempt in range(MAX_TRIES):
         L = K if t == 1 else ff_extend(K.p, K.k * t)
-        values = {v: L.from_index(rng.randrange(L.order)) for v in var_order}
-        ok = True
+        # drawn by label, then X_s ascending, then column; zero rows outside X_s
+        matrices = {s: [[L.from_index(rng.randrange(L.order)) for _ in range(m)]
+                        if i in sys.X[s] else [L.zero] * m for i in range(1, m + 1)]
+                    for s in sys.labels}
         for rows in blocks:
-            columns = [{r: values[(s, i, j)] for r, (s, i) in enumerate(rows)}
-                       for j in range(1, m + 1)]
+            block = [matrices[s][i - 1] for s, i in rows]
+            columns = [dict(enumerate(col)) for col in zip(*block)]
             if next(kernel_vectors(columns, L), None) is not None:
-                ok = False
                 break
-        if ok:
-            matrices = {}
-            for s in sys.labels:
-                rows = []
-                for i in range(1, m + 1):
-                    if i in sys.X[s]:
-                        rows.append([values[(s, i, j)] for j in range(1, m + 1)])
-                    else:
-                        rows.append([L.zero] * m)
-                matrices[s] = rows
+        else:
             return AlphaFamily(
                 L,
                 sys,
@@ -298,7 +287,7 @@ def construct_alphas(sys: SetSystem, K: ExtField, seed: int, max_tries: int = 64
             )
         if attempt and attempt % 16 == 0:
             t += 1  # widen the extension if we keep missing
-    raise RetryExhausted(f"no nonvanishing point in {max_tries} samples")
+    raise RetryExhausted(f"no nonvanishing point in {MAX_TRIES} samples")
 
 
 class AlphaReport:
@@ -320,18 +309,10 @@ def verify_alphas(fam: AlphaFamily) -> AlphaReport:
         if i not in sys.X[s]
     )
     results = []
-    for family in admissible_families(sys):
-        rows = family_rows(sys, family)
-        mat = [fam.matrices[s][i - 1] for s, i in rows]
-        r = rank(mat, L, ncols=m)
-        results.append(
-            {
-                "family": {str(s): sorted(family[s]) for s in sys.labels},
-                "v": len(rows),
-                "rank": r,
-                "ok": r == m,
-            }
-        )
+    for family, rows in admissible_families(sys):
+        r = rank([fam.matrices[s][i - 1] for s, i in rows], L, ncols=m)
+        results.append({"family": {str(s): sorted(family[s]) for s in sys.labels},
+                        "v": len(rows), "rank": r, "ok": r == m})
     ok = support_ok and all(f["ok"] for f in results)
     return AlphaReport(support_ok, results, ok)
 
@@ -364,10 +345,12 @@ class ThetaMap:
 
 
 def letter_b(labels) -> dict:
-    """The b_s the CLI uses: the letters a, A, b, B of F_2 in label order,
-    repeating from the fifth label on (which ``ThetaMap`` rejects)."""
-    pool = [(1,), (-1,), (2,), (-2,)]
-    return {s: pool[i % len(pool)] for i, s in enumerate(labels)}
+    """The b_s the CLI uses: the letters a, A, b, B of F_2 in label order.
+    A fifth label would need a repeated letter, so it is a ValueError."""
+    if len(labels) > 4:
+        raise ValueError(f"--s {len(labels)}: theta takes at most 4 labels, "
+                         "one per letter a, A, b, B of F_2")
+    return dict(zip(labels, [(1,), (-1,), (2,), (-2,)]))
 
 
 def theta_apply(theta: ThetaMap, u):

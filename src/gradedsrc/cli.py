@@ -72,16 +72,12 @@ def cmd_solve(args) -> dict:
 
 
 def cmd_theta(args) -> dict:
-    if args.s > 4:  # letter_b would repeat a letter, which ThetaMap rejects
-        raise ValueError(f"--s {args.s}: theta takes at most 4 labels, "
-                         "one per letter a, A, b, B of F_2")
+    b = letter_b(range(args.s))  # before the search, so more than four labels runs nothing
     system = search_set_system(args.s, args.ymax)
     K = ff_extend(args.field, 1)
     fam = construct_alphas(system, K, seed=args.seed)
     verify = verify_alphas(fam)
     G = FreeGroup(2)
-    labels = list(system.labels)
-    b = letter_b(labels)
     theta = ThetaMap(fam, b, G)
     cert = theta_certify(theta, args.radius)
     return {
@@ -90,7 +86,7 @@ def cmd_theta(args) -> dict:
         "alpha_verified": verify.ok,
         "alpha_families": verify.families,
         "theta": {
-            "b": {str(s): G.elem_to_json(b[s]) for s in labels},
+            "b": {str(s): G.elem_to_json(g) for s, g in b.items()},
             "radius": cert.radius,
             "ncols": cert.ncols,
             "rank": cert.rank,

@@ -366,7 +366,7 @@ class ExtField(_Ring):
         self.order = p**k
         self.name = f"F{p}^{k}"
         self.zero = (0,) * k
-        self.one = ((1,) + (0,) * (k - 1)) if k else ()
+        self.one = (1,) + (0,) * (k - 1)
 
     def coerce(self, n):
         return ((int(n) % self.p),) + (0,) * (self.k - 1)

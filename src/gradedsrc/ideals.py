@@ -70,8 +70,10 @@ def _escape_element(H, K):
     raise AssertionError("no escaping element found despite non-containment")
 
 
-def distinguish_subgroups(H, K, ring: GroupRing, sample_budget: int = 50,
-                          seed: int = 0) -> DistinguishReport:
+SAMPLE_BUDGET = 50  # samples of I_A checked against I_B when A <= B
+
+
+def distinguish_subgroups(H, K, ring: GroupRing, seed: int = 0) -> DistinguishReport:
     """Containment verification on samples, or an explicit separating element."""
     rng = random.Random(seed)
     h_in_k = subgroup_leq(H, K)
@@ -87,7 +89,7 @@ def distinguish_subgroups(H, K, ring: GroupRing, sample_budget: int = 50,
     checked, ok, witness, witness_in = 0, True, None, None
     for A, B, a_in_b, ideal in ((H, K, h_in_k, "I_H"), (K, H, k_in_h, "I_K")):
         if a_in_b:  # samples of I_A must lie in I_B
-            for _ in range(sample_budget):
+            for _ in range(SAMPLE_BUDGET):
                 r = random_ideal_element(ring, A, rng)
                 checked += 1
                 if not ideal_membership_IH(r, B):

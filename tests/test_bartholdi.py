@@ -12,7 +12,7 @@ import pytest
 
 from gradedsrc import bartholdi
 from gradedsrc.coeff import QQ, ZZ, ff_extend
-from gradedsrc.errors import ConstantPolynomial, SetSystemNotFound
+from gradedsrc.errors import ConstantPolynomial, RetryExhausted, SetSystemNotFound
 from gradedsrc.gring import GroupRing
 from gradedsrc.groups import FreeAbelian, FreeGroup, ball
 from gradedsrc.bartholdi import (
@@ -21,7 +21,6 @@ from gradedsrc.bartholdi import (
     ThetaMap,
     admissible_families,
     construct_alphas,
-    family_rows,
     find_point,
     footnote_embedding,
     footnote_kernel,
@@ -215,7 +214,7 @@ def test_find_point_rejects_constant():
 def test_admissible_families_structure(system10):
     fams = admissible_families(system10)
     assert len(fams) == 4
-    for fam in fams:
+    for fam, _ in fams:
         v = sum(len(system10.x_restricted(s, fam[s])) for s in system10.labels)
         assert v == 12
 
@@ -229,12 +228,20 @@ def direct_admissible_families(sys):
             if sum(len(sys.x_restricted(s, T)) for s, T in zip(sys.labels, family)) >= sys.size]
 
 
+def family_rows(sys, family):
+    """A family's stacked rows (s, i) by set arithmetic on that family alone,
+    ordered by label then increasing index."""
+    return [(s, i) for s in sys.labels for i in sorted(sys.x_restricted(s, family[s]))]
+
+
 @pytest.mark.parametrize("s_size, y_max", [(2, 10), (3, 20), (4, 14)])
 def test_admissible_families_equal_the_direct_walk(s_size, y_max):
     system = search_set_system(s_size, y_max)
-    families = admissible_families(system)
+    pairs = admissible_families(system)
+    families = [family for family, _ in pairs]
     assert families == direct_admissible_families(system)
     assert [list(f) for f in families] == [list(system.labels)] * len(families)
+    assert [list(rows) for _, rows in pairs] == [family_rows(system, f) for f in families]
 
 
 def test_construct_and_verify_roundtrip(system10, alphas10):
@@ -258,7 +265,7 @@ def unmemoised_construct_alphas(sys, K, seed, tested, max_tries=64):
     """``construct_alphas`` testing every family's block, shared or not;
     appends each tested block's columns to ``tested``."""
     m = sys.size
-    families = admissible_families(sys)
+    families = direct_admissible_families(sys)
     degree_sum = m * len(families)
     rng = random.Random(seed)
     var_order = [(s, i, j) for s in sys.labels for i in sorted(sys.X[s]) for j in range(1, m + 1)]
@@ -313,6 +320,21 @@ def test_each_distinct_block_is_tested_once(monkeypatch, s_size, y_max, p, seed)
     assert tested == list(dict.fromkeys(want))
 
 
+def test_singular_blocks_widen_the_field_then_exhaust(monkeypatch, system10):
+    # every block singular: the extension degree grows from 7 at attempts
+    # 17, 33 and 49 (counting from 0), and the 64th singular attempt gives up
+    degrees = []
+
+    def singular(columns, ring):
+        degrees.append(ring.k)
+        return iter([[ring.one] * len(columns)])
+
+    monkeypatch.setattr(bartholdi, "kernel_vectors", singular)
+    with pytest.raises(RetryExhausted, match="64 samples"):
+        construct_alphas(system10, ff_extend(2, 1), seed=0)
+    assert degrees == [7] * 17 + [8] * 16 + [9] * 16 + [10] * 15
+
+
 def test_s4_alpha_family_is_pinned():
     # 147 distinct blocks serve the 13,808 admissible families; a fresh
     # interpreter, so the F_{2^19} tables' build counts against the bound
@@ -362,7 +384,7 @@ def rref_verify_alphas(fam):
     support_ok = all(L.is_zero(v) for s in sys.labels for i in range(1, m + 1)
                      if i not in sys.X[s] for v in fam.matrices[s][i - 1])
     ranks, families = {}, []
-    for family in admissible_families(sys):
+    for family, _ in admissible_families(sys):
         rows = tuple(family_rows(sys, family))
         if rows not in ranks:
             ranks[rows] = len(rref([fam.matrices[s][i - 1] for s, i in rows], L, m)[1])
@@ -403,7 +425,7 @@ def test_broken_rows_report_their_true_rank(alphas12):
     assert (rep.families, rep.ok) == rref_verify_alphas(broken)
     assert rep.row_support_ok and not rep.ok
     seen = set()
-    for f, family in zip(rep.families, admissible_families(sys)):
+    for f, (family, _) in zip(rep.families, admissible_families(sys)):
         rows = family_rows(sys, family)
         if len(rows) == m:
             assert all(r in rows for r in sources)
