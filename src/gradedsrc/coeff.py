@@ -1,8 +1,9 @@
 """Exact coefficient rings.
 
 Elements are plain hashable Python values (Fraction, int, tuple); the ring
-descriptor objects below supply the arithmetic.  Descriptors compare equal
-structurally, which is what the group-ring layer uses to detect mixing.
+descriptor objects below supply the arithmetic.  Two descriptors are the same
+ring exactly when their class and ``key`` agree, which is what the group-ring
+layer uses to detect mixing.
 """
 
 from __future__ import annotations
@@ -157,9 +158,22 @@ def poly_is_irreducible(f, p) -> bool:
 
 
 class _Ring:
-    """The row operation of the sparse kernel engine, from the descriptor's
-    own ``sub``, ``mul`` and ``is_zero``; fields with a cheaper inline form
-    override it."""
+    """A ring descriptor: equal to another of its class with an equal
+    ``key`` (its parameters, () for a ring without any), hashed by its name
+    and key, and shown as its name.  ``axpy``, the row operation of the
+    sparse kernel engine, comes from the descriptor's own ``sub``, ``mul``
+    and ``is_zero``; fields with a cheaper inline form override it."""
+
+    key = ()
+
+    def __eq__(self, other):
+        return type(other) is type(self) and other.key == self.key
+
+    def __hash__(self):
+        return hash((self.name, self.key))
+
+    def __repr__(self):
+        return self.name
 
     def axpy(self, acc, f, vec):
         """acc -= f * vec in place on sparse dicts, dropping the entries that
@@ -178,25 +192,8 @@ class _Ring:
         return gained
 
 
-class _NamedRing(_Ring):
-    """A ring without parameters: its instances are equal, and its name is
-    its hash and its repr."""
-
-    def __eq__(self, other):
-        return type(other) is type(self)
-
-    def __hash__(self):
-        return hash(self.name)
-
-    def __repr__(self):
-        return self.name
-
-
-class _Numbers(_NamedRing):
+class _Numbers(_Ring):
     """Q or Z: the values are Python numbers, with their own arithmetic."""
-
-    characteristic = 0
-    degree = 1
 
     def add(self, x, y):
         return x + y
@@ -272,16 +269,14 @@ class Integers(_Numbers):
         return obj
 
 
-class PrimeField:
+class PrimeField(_Ring):
     """F_p.  Values are int in [0, p)."""
-
-    degree = 1
 
     def __init__(self, p: int):
         if not is_prime(p):
             raise NotPrime(f"{p} is not prime")
         self.p = p
-        self.characteristic = p
+        self.key = (p,)
         self.name = f"F{p}"
         self.zero = 0
         self.one = 1
@@ -324,9 +319,6 @@ class PrimeField:
                 del acc[k]
         return gained
 
-    def elements(self):
-        return range(self.p)
-
     def to_json(self, x):
         return [x]
 
@@ -336,15 +328,6 @@ class PrimeField:
         if not _is_int(obj):
             raise ValueError(f"{obj!r} is not an int or an array of one int")
         return obj % self.p
-
-    def __eq__(self, other):
-        return type(other) is PrimeField and other.p == self.p
-
-    def __hash__(self):
-        return hash(("Fp", self.p))
-
-    def __repr__(self):
-        return self.name
 
 
 class ExtField(_Ring):
@@ -361,8 +344,7 @@ class ExtField(_Ring):
         self.p = p
         self.k = k
         self.poly = poly
-        self.characteristic = p
-        self.degree = k
+        self.key = (p, k, poly)
         self.order = p**k
         self.name = f"F{p}^{k}"
         self.zero = (0,) * k
@@ -441,22 +423,11 @@ class ExtField(_Ring):
             raise ValueError(f"{obj!r} is not an array of at most {self.k} ints")
         return self._pad(tuple(c % self.p for c in obj))
 
-    def __eq__(self, other):
-        return (
-            type(other) is ExtField
-            and other.p == self.p
-            and other.k == self.k
-            and other.poly == self.poly
-        )
-
-    def __hash__(self):
-        return hash(("Fq", self.p, self.k, self.poly))
-
-    def __repr__(self):
-        return self.name
-
 
 TABLE_ORDER_CAP = 1 << 20  # larger fields keep the polynomial arithmetic
+# an "Fq" input with k > 1 and more elements than this is bad input: the modulus
+# search takes seconds for F_{2^128} and more than a minute for F_{2^256}
+FIELD_ORDER_CAP = 1 << 64
 
 
 class TableField(_Ring):
@@ -482,7 +453,7 @@ class TableField(_Ring):
     def __init__(self, field: ExtField):
         p, k, q = field.p, field.k, field.order
         n = q - 1
-        self.p, self.order, self.name = p, q, field.name
+        self.p, self.order, self.name, self.key = p, q, field.name, field.key
 
         def power(a, e):
             acc = field.one
@@ -593,11 +564,8 @@ class TableField(_Ring):
                 acc[k] = a ^ t
         return gained
 
-    def __repr__(self):
-        return f"TableField({self.name})"
 
-
-_tables = functools.cache(TableField)  # keyed on (p, k, poly) through ExtField.__eq__
+_tables = functools.cache(TableField)  # keyed on the field's key, (p, k, poly)
 
 
 def ff_extend(p: int, k: int) -> ExtField:
@@ -616,11 +584,9 @@ def ff_extend(p: int, k: int) -> ExtField:
     raise AssertionError("unreachable: irreducible polynomials exist in every degree")
 
 
-class QuadRing(_NamedRing):
+class QuadRing(_Ring):
     """Z[sqrt(-5)].  Values are (a, b) meaning a + b*sqrt(-5)."""
 
-    characteristic = 0
-    degree = 2
     name = "Zsqrt-5"
 
     zero = (0, 0)

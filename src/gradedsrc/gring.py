@@ -254,9 +254,8 @@ class IntConstPolyRing:
 
 
 class WitnessReport:
-    def __init__(self, ok: bool, grade, witness: list | None, reason: str):
+    def __init__(self, ok: bool, witness: list | None, reason: str):
         self.ok = ok
-        self.grade = grade
         self.witness = witness
         self.reason = reason
 
@@ -264,13 +263,13 @@ class WitnessReport:
 def group_ring_witness(ring: GroupRing, g) -> WitnessReport:
     """delta(g) * delta(g^-1) = 1: a group ring is strongly graded by its group."""
     u, v = ring.delta(g), ring.delta(ring.group.inv(g))
-    return WitnessReport((u * v) == ring.one(), g, [(u, v)], "delta(g) * delta(g^-1) = 1")
+    return WitnessReport((u * v) == ring.one(), [(u, v)], "delta(g) * delta(g^-1) = 1")
 
 
 def sign_graded_witness(g) -> WitnessReport:
     """Witness for 1 in R_g R_{g^-1} in the sign-graded fixture, graded by {+1, -1}."""
     if g == 1:
-        return WitnessReport(True, g, [(SG_ONE, SG_ONE)], "1 * 1 = 1")
+        return WitnessReport(True, [(SG_ONE, SG_ONE)], "1 * 1 = 1")
     if g == -1:
         pairs = [
             (SignGradedElement((0, 0), (3, 0)), SignGradedElement((0, 0), (2, -1))),
@@ -280,13 +279,13 @@ def sign_graded_witness(g) -> WitnessReport:
         for u, v in pairs:
             total = sign_graded_add(total, sign_graded_mul(u, v))
         ok = total == SG_ONE
-        return WitnessReport(ok, g, pairs, "3*(2-sqrt(-5)) + (1+sqrt(-5))^2 over 2-sqrt(-5)")
-    return WitnessReport(False, g, None, "grading group is {+1, -1}")
+        return WitnessReport(ok, pairs, "3*(2-sqrt(-5)) + (1+sqrt(-5))^2 over 2-sqrt(-5)")
+    return WitnessReport(False, None, "grading group is {+1, -1}")
 
 
 def intconst_witness(P: IntConstPolyRing, g) -> WitnessReport:
     """Witness for 1 in R_g R_{g^-1} in the polynomial fixture, graded by Z."""
     if g == 0:
         one = P.one()
-        return WitnessReport(True, g, [(one, one)], "R_0 = Z contains 1")
-    return WitnessReport(False, g, None, "every negative component is zero")
+        return WitnessReport(True, [(one, one)], "R_0 = Z contains 1")
+    return WitnessReport(False, None, "every negative component is zero")

@@ -31,15 +31,19 @@ def separator(ring: GroupRing, g) -> GRElement:
     return ring.delta(g) - ring.one()
 
 
+SAMPLE_RADIUS = 3  # the ball that random_ideal_element draws group elements from, by default
+SAMPLE_TERMS = 4  # the coset differences c (delta_h - delta_g) that one random_ideal_element sums
+
+
 def random_ideal_element(ring: GroupRing, H, rng: random.Random,
-                         radius: int = 3, terms: int = 4) -> GRElement:
+                         radius: int = SAMPLE_RADIUS) -> GRElement:
     """Random member of I_H: a sum of coefficient-weighted differences of
     elements lying in a common coset."""
     G = ring.group
     pool = ball(G, radius)
     gens = H.generators or (G.identity,)
     out = ring.zero()
-    for _ in range(terms):
+    for _ in range(SAMPLE_TERMS):
         g = pool[rng.randrange(len(pool))]
         h = G.mul(gens[rng.randrange(len(gens))], g)
         c = ring.coeff.coerce(rng.randint(-3, 3))

@@ -9,7 +9,7 @@ Each group class writes its own form (``to_json``); ``group_from_json`` reads it
 
 from __future__ import annotations
 
-from .coeff import QQ, ZSQRT5, ZZ, ExtField, PrimeField, _is_int, ff_extend
+from .coeff import FIELD_ORDER_CAP, QQ, ZSQRT5, ZZ, ExtField, PrimeField, _is_int, ff_extend
 from .gring import GroupRing
 from .groups import FiniteGroup, FreeAbelian, FreeGroup
 from .srcsolve import LinearSystem
@@ -64,6 +64,9 @@ def coeff_from_json(obj):
         return PrimeField(_int_field(obj, "p", "coeff"))
     if name == "Fq":
         p, k = _int_field(obj, "p", "coeff"), _int_field(obj, "k", "coeff")
+        # before the modulus search; for p >= 2 a k past 64 is over the cap without computing p**k
+        if k > 1 and p > 1 and (k >= FIELD_ORDER_CAP.bit_length() or p**k > FIELD_ORDER_CAP):
+            raise ValueError(f"F_{p}^{k} has more than {FIELD_ORDER_CAP} elements")
         if "poly" in obj:
             poly = obj["poly"]
             if not isinstance(poly, list) or not all(map(_is_int, poly)):

@@ -484,6 +484,28 @@ def test_solve_over_f_2_40_finishes(tmp_path):
     assert json.loads(open(out).read())["verified"] is True
 
 
+@pytest.mark.parametrize("k", [256, 10**12])
+def test_extension_field_past_the_order_cap_is_bad_input(tmp_path, k):
+    # without the cap the modulus search for F_{2^256} runs for more than a minute,
+    # and 2^(10^12) alone would not fit in memory
+    obj = field_system({"ring": "Fq", "p": 2, "k": k}, [0, 1])
+    proc = run_cli(["solve", "--in", write(tmp_path, "sys.json", obj)], timeout=20)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("bad input:") and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("coeff, entry", [
+    ({"ring": "Fq", "p": 2, "k": 64}, [0, 1]),  # the largest field of characteristic 2 inside the cap
+    ({"ring": "Fq", "p": 2**61 - 1, "k": 1}, [2]),  # k = 1 takes its first candidate for any p
+], ids=["f_2_64", "f_mersenne61"])
+def test_fields_inside_the_order_cap_solve(tmp_path, coeff, entry):
+    out = str(tmp_path / "sol.json")
+    obj = field_system(coeff, entry)
+    proc = run_cli(["solve", "--in", write(tmp_path, "sys.json", obj), "--out", out], timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(open(out).read())["verified"] is True
+
+
 def test_symmetric_and_cyclic_orders_up_to_the_cap_build():
     assert len(group_from_json({"family": "symmetric", "n": 6}).elements) == 720
     assert len(group_from_json({"family": "cyclic", "n": 1000}).elements) == 1000

@@ -12,7 +12,10 @@ from gradedsrc.coeff import (
     QQ,
     ZSQRT5,
     ExtField,
+    Integers,
     PrimeField,
+    QuadRing,
+    Rationals,
     TableField,
     ff_extend,
     _monic_polys,
@@ -125,6 +128,49 @@ def test_division_by_zero():
         QQ.inv(Fraction(0))
     with pytest.raises(DivisionByZero):
         PrimeField(7).inv(0)
+
+
+# --- descriptors: the same ring exactly when class and parameters agree -----
+
+
+F8_MODULI = [(1, 1, 0, 1), (1, 0, 1, 1)]  # x^3 + x + 1 and x^3 + x^2 + 1
+F9_MODULI = [(1, 0, 1), (2, 1, 1)]  # x^2 + 1 and x^2 + x + 2
+DESCRIPTOR_SPECS = (
+    [("Q",), ("Z",), ("Zsqrt-5",)]
+    + [("Fp", p) for p in (2, 3, 5, MODULUS)]
+    + [(kind, p, k, poly) for kind in ("Fq", "tables")
+       for p, k, moduli in ((2, 3, F8_MODULI), (3, 2, F9_MODULI)) for poly in moduli]
+)
+
+
+def build_descriptor(spec):
+    """A new descriptor for spec, never an instance shared with an equal one."""
+    kind, *params = spec
+    if kind == "Fp":
+        return PrimeField(*params)
+    if kind == "Fq":
+        return ExtField(*params)
+    if kind == "tables":
+        return TableField(ExtField(*params))
+    return {"Q": Rationals, "Z": Integers, "Zsqrt-5": QuadRing}[kind]()
+
+
+def spec_name(spec):
+    kind, *params = spec
+    if kind == "Fp":
+        return f"F{params[0]}"
+    if kind in ("Fq", "tables"):
+        return f"F{params[0]}^{params[1]}"
+    return kind
+
+
+@given(st.sampled_from(DESCRIPTOR_SPECS), st.sampled_from(DESCRIPTOR_SPECS))
+def test_descriptors_are_equal_exactly_when_class_and_parameters_agree(s, t):
+    a, b = build_descriptor(s), build_descriptor(t)
+    assert (a == b) is (s == t) and (a != b) is (s != t)
+    if s == t:
+        assert hash(a) == hash(b)
+    assert repr(a) == a.name == spec_name(s)
 
 
 rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6)
