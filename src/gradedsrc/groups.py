@@ -1,7 +1,8 @@
 """Supported groups, canonical forms, balls, product sets, Folner search, cosets.
 
 Three families: free groups (reduced words), free abelian groups (integer
-vectors), and explicit finite groups (element list + multiplication table).
+vectors), and finite groups (element list + multiplication table; S_n
+multiplies by composition and stores no table).
 Elements are plain hashable values; the descriptor supplies the operations.
 Each family also supplies its generators (``generators``), from which balls
 are derived, its Folner schedule (``folner_schedule``), its JSON form
@@ -14,6 +15,7 @@ lexicographic on integer vectors, list position for finite groups.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -23,9 +25,13 @@ from .coeff import _is_int
 from .errors import FolnerNotFound, InfiniteIndex
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
-# Largest order the symmetric and cyclic families build: their tables hold
-# order^2 entries.  S_6 (720 elements) builds in 0.07 s; S_7 would hold 25 M.
+# Largest order the symmetric and cyclic families build.  A solve over S_n
+# lifts over F = S_n, and C_n's table holds n^2 entries, so S_7 (5040
+# elements) and C_1001 are bad input.
 ORDER_CAP = 1000
+# Largest ball a free group's Folner schedule lists: F_2's ball of radius r
+# has 2*3^r - 1 elements, so radius 9 (39,365) is the last it tries.
+FREE_BALL_CAP = 100_000
 
 
 def _json_type(x):
@@ -86,10 +92,16 @@ class FreeGroup:
         return (len(g), tuple(self._letter_key(x) for x in g))
 
     def folner_schedule(self, budget: int) -> tuple:
-        """(candidate sets, exhaustion message): balls of radius 0..budget.
-        For rank >= 2 no sets are Folner sets, so a bound near 1 exhausts it."""
-        return ((ball(self, r) for r in range(budget + 1)),
-                f"no ball of radius <= {budget} meets the bound")
+        """(candidate sets, exhaustion message): balls of radius 0..budget,
+        stopping before a ball of more than ``FREE_BALL_CAP`` elements.  For
+        rank >= 2 no sets are Folner sets, so a bound near 1 exhausts it."""
+        last, size, sphere = 0, 1, 2 * self.rank  # |ball(last)|, |sphere(last + 1)|
+        while last < budget and size + sphere <= FREE_BALL_CAP:
+            last, size, sphere = last + 1, size + sphere, sphere * (2 * self.rank - 1)
+        failure = f"no ball of radius <= {last} meets the bound"
+        if last < budget:
+            failure += f"; the ball of radius {last + 1} has more than {FREE_BALL_CAP} elements"
+        return (ball(self, r) for r in range(last + 1)), failure
 
     def to_json(self) -> dict:
         return {"family": "free", "rank": self.rank}
@@ -184,7 +196,8 @@ class FiniteGroup:
     """Explicit finite group.  The product is one table of index rows:
     ``rows[i][j]`` is the position of ``elements[i] * elements[j]``.  The table
     is checked once on construction (closure, identity, inverses, associativity
-    by Light's test)."""
+    by Light's test).  ``symmetric`` returns a ``SymmetricGroup``, whose
+    product is composition and which stores no table."""
 
     family = "finite"
 
@@ -235,30 +248,13 @@ class FiniteGroup:
         self._generators = generators or tuple(g for g in els if g != self.identity)
 
     @classmethod
-    def symmetric(cls, n: int) -> "FiniteGroup":
+    def symmetric(cls, n: int) -> "SymmetricGroup":
         """S_n acting on {0..n-1}; composition applies the right factor first."""
         if n < 0:
             raise ValueError(f"S_n needs n >= 0, not {n}")
         if n > ORDER_CAP or math.factorial(n) > ORDER_CAP:
             raise ValueError(f"S_{n} has more than {ORDER_CAP} elements")
-        els = sorted(itertools.permutations(range(n)))
-        # a transposition and an n-cycle, which coincide for n = 2
-        gens = [(1, 0, *range(2, n)), (*range(1, n), 0)][: max(0, min(2, n - 1))]
-        # Only the generators' rows are looked up.  Since (a*s)*c = a*(s*c),
-        # the row of a*s is the row of a read at the positions in the row of
-        # s, so the others follow in BFS order from the identity's row.
-        pos = {g: i for i, g in enumerate(els)}
-        steps = [(pos[s], itemgetter(*[pos[tuple(map(s.__getitem__, c))] for c in els]))
-                 for s in gens]
-        rows = [tuple(range(len(els)))] + [None] * (len(els) - 1)
-        queue = [0]
-        for a in queue:  # the loop also visits the positions appended below
-            for s, step in steps:
-                a_s = rows[a][s]
-                if rows[a_s] is None:
-                    rows[a_s] = step(rows[a])
-                    queue.append(a_s)
-        return cls(els, rows, generators=gens or None, kind="perm")
+        return SymmetricGroup(n)
 
     @classmethod
     def cyclic(cls, n: int) -> "FiniteGroup":
@@ -314,10 +310,11 @@ class FiniteGroup:
         return g
 
     def __eq__(self, other):
+        # two SymmetricGroups on the same elements compose alike: no rows needed
         return other is self or (
-            type(other) is FiniteGroup
+            isinstance(other, FiniteGroup)
             and other.elements == self.elements
-            and other.rows == self.rows
+            and (type(other) is type(self) is SymmetricGroup or other.rows == self.rows)
         )
 
     def __hash__(self):
@@ -325,6 +322,34 @@ class FiniteGroup:
 
     def __repr__(self):
         return f"FiniteGroup(order={len(self.elements)})"
+
+
+class SymmetricGroup(FiniteGroup):
+    """S_n on {0..n-1}, its elements in sorted order.  The product is
+    composition, right factor first, so no table is built or checked;
+    ``rows``, the index table of the other finite groups, is derived when
+    first read."""
+
+    kind = "perm"
+
+    def __init__(self, n: int):
+        # permutations of a sorted range come in sorted order
+        self.elements = els = tuple(itertools.permutations(range(n)))
+        self.identity = els[0]
+        self._index = {g: i for i, g in enumerate(els)}
+        # a transposition and an n-cycle, which coincide for n = 2
+        self._generators = ((1, 0, *range(2, n)), (*range(1, n), 0))[: max(0, min(2, n - 1))]
+
+    def mul(self, g, h):
+        return tuple(map(g.__getitem__, h))
+
+    def inv(self, g):
+        return tuple(sorted(range(len(g)), key=g.__getitem__))
+
+    @functools.cached_property
+    def rows(self):
+        index, els = self._index, self.elements
+        return tuple(tuple(index[self.mul(g, h)] for h in els) for g in els)
 
 
 # ---------------------------------------------------------------------------

@@ -506,6 +506,17 @@ def test_fields_inside_the_order_cap_solve(tmp_path, coeff, entry):
     assert json.loads(open(out).read())["verified"] is True
 
 
+def test_free_group_solve_at_the_default_budget_stops_at_the_ball_cap(tmp_path):
+    # the balls of F_2 grow as 2*3^r - 1, so radius 64 would never be reached;
+    # the schedule stops before the radius-10 ball, past 100,000 elements
+    obj = {"group": {"family": "free", "rank": 2}, "coeff": {"ring": "Q"}, "m": 1, "n": 2,
+           "a": [[[["", "1"], ["a", "2"], ["b", "3"]], [["", "5"], ["a", "-1"], ["b", "7"]]]]}
+    proc = run_cli(["solve", "--in", write(tmp_path, "sys.json", obj)], timeout=30)
+    assert proc.returncode == 2 and "Traceback" not in proc.stderr
+    assert proc.stderr == ("folner search failed: no ball of radius <= 9 meets the bound; "
+                           "the ball of radius 10 has more than 100000 elements\n")
+
+
 def test_symmetric_and_cyclic_orders_up_to_the_cap_build():
     assert len(group_from_json({"family": "symmetric", "n": 6}).elements) == 720
     assert len(group_from_json({"family": "cyclic", "n": 1000}).elements) == 1000
@@ -518,8 +529,8 @@ def test_symmetric_and_cyclic_orders_up_to_the_cap_build():
     {"family": "cyclic", "n": 10**6},
 ], ids=["s7", "s9", "c1001", "c1e6"])
 def test_finite_family_past_the_order_cap_is_bad_input(tmp_path, group):
-    # without the cap S_7 and C_1001 solve, and S_9 and C_10^6 fill order^2
-    # table entries until the address-space limit raises MemoryError
+    # without the cap S_7, S_9 and C_1001 solve this empty system, and C_10^6
+    # fills n^2 table entries until the address-space limit raises MemoryError
     obj = {"group": group, "coeff": {"ring": "Q"}, "m": 1, "n": 2, "a": [[[], []]]}
     proc = run_cli(["solve", "--in", write(tmp_path, "sys.json", obj)], timeout=60,
                    address_space=1 << 29)

@@ -166,6 +166,19 @@ SOLVE_S4 = {
     ],
 }
 
+# a 1 x 3 system over Q[S_6] with two terms per entry, as in SOLVE_S5
+SOLVE_S6 = {
+    "group": {"family": "symmetric", "n": 6},
+    "coeff": {"ring": "Q"},
+    "m": 1,
+    "n": 3,
+    "a": [[
+        [[[2, 1, 3, 4, 5, 6], "1/1"], [[2, 3, 4, 5, 6, 1], "-1/1"]],
+        [[[6, 5, 4, 3, 2, 1], "2/1"], [[1, 3, 2, 4, 5, 6], "1/3"]],
+        [[[3, 1, 2, 6, 4, 5], "-3/1"], [[1, 2, 3, 4, 6, 5], "1/1"]],
+    ]],
+}
+
 # D_3 as an explicit table: r^i is "r"*i, s r^i is "s" + "r"*i, and
 # (s^a r^i)(s^b r^j) = s^(a+b) r^((-1)^b i + j)
 D3_LABELS = ["", "r", "rr", "s", "sr", "srr"]
@@ -205,7 +218,8 @@ SOLVE_FQ9 = {
 }
 
 INPUT_FILES = {
-    "solve": {"s5": SOLVE_S5, "s4": SOLVE_S4, "z_z2": SOLVE_Z_Z2, "fq9": SOLVE_FQ9},
+    "solve": {"s5": SOLVE_S5, "s4": SOLVE_S4, "s6": SOLVE_S6, "z_z2": SOLVE_Z_Z2,
+              "fq9": SOLVE_FQ9},
     "folner": {"d3": FOLNER_D3},
 }
 
@@ -220,6 +234,13 @@ FINITE_GROUPS = {
     "folner d3": (
         "5301a8c894a9b5dab8062aed9faec5b5c9281c38caabfd3f3bc2bde6ab43f112"
     ),
+}
+
+
+# recorded with S_6 built and checked as a 720 x 720 table, before the
+# symmetric family multiplied by composition
+SYMMETRIC_SOLVE = {
+    "solve s6": "e7ae688303645b69a3327d34ee31cf2aefbb72c911b50660b779ff9abc267e83",
 }
 
 
@@ -281,6 +302,11 @@ def run_input_file(tmp_path, case):
 @pytest.mark.parametrize("case", sorted(INTEGER_SOLVE))
 def test_integer_solve_outputs(tmp_path, case):
     assert run_input_file(tmp_path, case) == INTEGER_SOLVE[case]
+
+
+@pytest.mark.parametrize("case", sorted(SYMMETRIC_SOLVE))
+def test_symmetric_solve_outputs(tmp_path, case):
+    assert run_input_file(tmp_path, case) == SYMMETRIC_SOLVE[case]
 
 
 @pytest.mark.parametrize("case", sorted(FIELD_SOLVE))

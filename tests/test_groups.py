@@ -1,9 +1,10 @@
 import itertools
+import json
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradedsrc.errors import FolnerNotFound, InfiniteIndex
@@ -19,6 +20,8 @@ from gradedsrc.groups import (
     product_set,
     sorted_subset,
 )
+from gradedsrc.serialize import group_from_json
+from symmetric_reference import table_symmetric
 
 F2 = FreeGroup(2)
 Z2 = FreeAbelian(2)
@@ -189,6 +192,31 @@ def test_symmetric_is_composition_and_cyclic_is_addition():
         assert C == FiniteGroup(range(n), [[(a + b) % n for b in range(n)] for a in range(n)])
 
 
+@pytest.mark.parametrize("n", range(6))
+@given(st.data())
+@settings(max_examples=20, deadline=None)
+def test_symmetric_composition_matches_the_checked_table(n, data):
+    S, T = FiniteGroup.symmetric(n), table_symmetric(n)
+    assert "rows" not in vars(S)  # no table until something reads it
+    els = T.elements
+    assert S.elements == els and S.identity == T.identity
+    assert S.generators() == T.generators()
+    assert all(S.mul(g, h) == T.mul(g, h) for g in els for h in els)
+    assert [S.inv(g) for g in els] == [T.inv(g) for g in els]
+    assert sorted(reversed(els), key=S.sort_key) == list(els)
+    assert all(ball(S, r) == ball(T, r) for r in range(4))
+    gens = data.draw(st.lists(st.sampled_from(els), max_size=3))
+    cs, ct = S.cosets(gens), T.cosets(gens)
+    assert (cs.subgroup, cs.cosets) == (ct.subgroup, ct.cosets)
+    assert [cs.index(g) for g in els] == [ct.index(g) for g in els]
+    assert S == FiniteGroup.symmetric(n) and "rows" not in vars(S)
+    assert S == T and T == S and hash(S) == hash(T) and S.rows == T.rows
+    assert S.to_json() == T.to_json()
+    back = group_from_json(json.loads(json.dumps(S.to_json())))
+    assert back == T and T == back
+    assert all(back.elem_from_json(T.elem_to_json(g)) == g for g in els)
+
+
 def test_ball_sizes_free():
     assert len(ball(F2, 1)) == 5
     assert len(ball(F2, 2)) == 17
@@ -207,7 +235,7 @@ def reference_ball(G, r):
         gens = G.generators()
         return _bfs(G.mul, [G.identity], gens + [G.inv(g) for g in gens], r)
     gens = list(G.generators())
-    return _bfs(G.mul, [G.identity], gens + [G._inv[g] for g in gens], r)
+    return _bfs(G.mul, [G.identity], gens + [G.inv(g) for g in gens], r)
 
 
 C2_C3 = list(itertools.product(range(2), range(3)))
