@@ -5,12 +5,18 @@ report's provenance with the command and version, emits it, and maps
 exceptions to exit codes: 0 success, 1 malformed input or a usage error
 (such as a missing required option or an unknown command), 2 Folner search
 exhausted, 3 set-system search exhausted.
+
+A plain line, ``COMMAND --flag value ...`` with each flag spelled out and
+given once and no value starting with ``-``, is read straight from the
+command table (``read_plain``), so argparse is not built at all.  Every
+other line (``--help``, which exits 0, abbreviated flags, ``--flag=value``,
+negative values, repeated flags and every usage error) goes through the
+argparse parser, with its messages and exit codes unchanged.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import sys
@@ -226,15 +232,10 @@ _COMMANDS = {
 }
 
 
-def build_parser(command=None) -> argparse.ArgumentParser:
-    """The parser of every command, or of ``command`` alone: that one parses
-    its command's argv as the full one does, with the same usage lines."""
+def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="gradedsrc")
-    # the full parser's metavar is its choices; the one-command parser names them all
-    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
-    sub = p.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in _COMMANDS if command is None else [command]:
-        help_line, fn, options = _COMMANDS[name]
+    sub = p.add_subparsers(dest="command", required=True)
+    for name, (help_line, fn, options) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_line)
         for flags, keywords in options:
             sp.add_argument(*flags, **keywords)
@@ -242,19 +243,50 @@ def build_parser(command=None) -> argparse.ArgumentParser:
     return p
 
 
-_parser = functools.cache(build_parser)  # parse_args leaves the parser as it is
+def read_plain(argv) -> argparse.Namespace | None:
+    """The namespace ``build_parser`` gives a plain ``COMMAND --flag value ...``
+    line, read from ``_COMMANDS`` alone: each flag one of the command's own,
+    spelled out and given once, each value a separate token that does not start
+    with ``-`` and passes the option's type and choices, no required flag
+    missing.  None for any other line."""
+    if len(argv) % 2 == 0 or argv[0] not in _COMMANDS:  # an empty line too
+        return None
+    _, fn, options = _COMMANDS[argv[0]]
+    given = dict(zip(argv[1::2], argv[2::2]))
+    if len(given) < len(argv) // 2:  # a repeated flag
+        return None
+    values = {"command": argv[0], "fn": fn}
+    for (flag,), keywords in options:
+        dest = keywords.get("dest") or flag.lstrip("-").replace("-", "_")
+        if flag not in given:
+            if keywords.get("required"):
+                return None
+            values[dest] = keywords.get("default")
+            continue
+        value = given.pop(flag)
+        if value.startswith("-"):
+            return None
+        try:
+            value = keywords.get("type", str)(value)
+        except ValueError:
+            return None
+        if "choices" in keywords and value not in keywords["choices"]:
+            return None
+        values[dest] = value
+    return None if given else argparse.Namespace(**values)  # an unknown flag is left
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # a named command needs only its own parser; anything else gets the full one
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
-    try:
-        args = _parser(command).parse_args(argv)
-    except SystemExit as exc:
-        if exc.code == 2:  # argparse's usage error; exit code 2 means Folner search exhausted
-            return 1
-        raise
+    # argparse, and its gettext and regexes, only for the lines read_plain leaves
+    args = read_plain(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            if exc.code == 2:  # argparse's usage error; exit code 2 means Folner search exhausted
+                return 1
+            raise
     try:
         report = args.fn(args)
         report["provenance"].update(command=args.command, version=__version__)

@@ -29,9 +29,10 @@ _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 # lifts over F = S_n, and C_n's table holds n^2 entries, so S_7 (5040
 # elements) and C_1001 are bad input.
 ORDER_CAP = 1000
-# Largest ball a free group's Folner schedule lists: F_2's ball of radius r
-# has 2*3^r - 1 elements, so radius 9 (39,365) is the last it tries.
-FREE_BALL_CAP = 100_000
+# Largest set an infinite group's Folner schedule lists.  F_2's ball of
+# radius r has 2*3^r - 1 elements, so radius 9 (39,365) is the last it tries;
+# Z^d's box of side L has L^d, so Z^2 stops at side 316 and Z^4 at side 17.
+SCHEDULE_CAP = 100_000
 
 
 def _json_type(x):
@@ -93,14 +94,14 @@ class FreeGroup:
 
     def folner_schedule(self, budget: int) -> tuple:
         """(candidate sets, exhaustion message): balls of radius 0..budget,
-        stopping before a ball of more than ``FREE_BALL_CAP`` elements.  For
+        stopping before a ball of more than ``SCHEDULE_CAP`` elements.  For
         rank >= 2 no sets are Folner sets, so a bound near 1 exhausts it."""
         last, size, sphere = 0, 1, 2 * self.rank  # |ball(last)|, |sphere(last + 1)|
-        while last < budget and size + sphere <= FREE_BALL_CAP:
+        while last < budget and size + sphere <= SCHEDULE_CAP:
             last, size, sphere = last + 1, size + sphere, sphere * (2 * self.rank - 1)
         failure = f"no ball of radius <= {last} meets the bound"
         if last < budget:
-            failure += f"; the ball of radius {last + 1} has more than {FREE_BALL_CAP} elements"
+            failure += f"; the ball of radius {last + 1} has more than {SCHEDULE_CAP} elements"
         return (ball(self, r) for r in range(last + 1)), failure
 
     def to_json(self) -> dict:
@@ -161,9 +162,15 @@ class FreeAbelian:
         return g
 
     def folner_schedule(self, budget: int) -> tuple:
-        """(candidate sets, exhaustion message): boxes [0, L)^d, L = 1..budget."""
-        return ((box(self, side) for side in range(1, budget + 1)),
-                f"no box of side <= {budget} meets the bound")
+        """(candidate sets, exhaustion message): boxes [0, L)^d, L = 1..budget,
+        stopping before a box of more than ``SCHEDULE_CAP`` elements."""
+        last = 0
+        while last < budget and (last + 1) ** self.rank <= SCHEDULE_CAP:
+            last += 1
+        failure = f"no box of side <= {last} meets the bound"
+        if last < budget:
+            failure += f"; the box of side {last + 1} has more than {SCHEDULE_CAP} elements"
+        return (box(self, side) for side in range(1, last + 1)), failure
 
     def to_json(self) -> dict:
         return {"family": "abelian", "rank": self.rank}

@@ -10,9 +10,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gradedsrc import cli
 from gradedsrc.cli import main
 from gradedsrc.coeff import QQ, ZSQRT5, ZZ, PrimeField, ff_extend
 from gradedsrc.gring import GroupRing
@@ -315,10 +316,7 @@ def test_solve_budget_exhaustion(tmp_path, capsys):
 
 
 def test_parser_reused_without_leaking_options(tmp_path):
-    # main parses every call of a command with that command's one parser;
-    # no option value may carry over
-    from gradedsrc import cli
-
+    # calls of one command in one process: no option value may carry over
     infile = write(tmp_path, "sys.json", one_pm_t_json())
     out = str(tmp_path / "sol.json")
     assert main(["solve", "--in", infile, "--budget", "5", "--out", out]) == 0
@@ -328,7 +326,6 @@ def test_parser_reused_without_leaking_options(tmp_path):
     assert json.loads(open(theta_out).read())["theta"]["ncols"] == 10
     assert main(["solve", "--in", infile, "--out", out]) == 0
     assert json.loads(open(out).read())["provenance"]["budget"] == 64
-    assert cli._parser("solve") is cli._parser("solve")
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -349,6 +346,9 @@ def test_help_exits_0(capsys):
     assert "--budget" in capsys.readouterr().out
 
 
+FULL_PARSER = cli.build_parser()  # parse_args leaves the parser as it is
+
+
 def parse_outcome(parser, argv):
     """(namespace or None, exit code or None, stdout, stderr) of one parse."""
     out, err = io.StringIO(), io.StringIO()
@@ -359,6 +359,17 @@ def parse_outcome(parser, argv):
             return None, exc.code, out.getvalue(), err.getvalue()
 
 
+def check_plain_reader(argv):
+    """Check that read_plain gives None or the full parser's namespace for
+    `argv`, and that the full parser gives a namespace or its usage line;
+    return what read_plain gives."""
+    plain = cli.read_plain(argv)
+    full = parse_outcome(FULL_PARSER, argv)
+    assert plain is None or vars(plain) == full[0], (argv, plain, full)
+    assert full[0] is not None or (full[2] or full[3]).startswith("usage: gradedsrc")
+    return plain
+
+
 @pytest.mark.parametrize("argv", [
     ["solve"], ["solve", "--help"], ["solve", "--in"], ["solve", "--in", "x", "extra"],
     ["solve", "theta"], ["theta", "--bogus"], ["theta", "--s", "x"], ["theta", "--rad", "2"],
@@ -367,12 +378,92 @@ def parse_outcome(parser, argv):
     ["embed-cert", "--c", "Z"], ["ideal", "--in", "f", "--seed", "4"],
 ], ids=" ".join)
 def test_one_command_parser_parses_as_the_full_one(argv):
-    # main builds only the named command's parser: same values, output and usage lines
-    from gradedsrc import cli
+    # main reads a named command's plain line from that command's table entry
+    # alone: the values the full parser gives, or the full parser's usage line
+    check_plain_reader(argv)
 
-    full = parse_outcome(cli.build_parser(), argv)
-    assert parse_outcome(cli.build_parser(argv[0]), argv) == full
-    assert full[0] is not None or (full[2] or full[3]).startswith("usage: gradedsrc")
+
+FLAGS = sorted({flags[0] for _, _, options in cli._COMMANDS.values() for flags, _ in options})
+VALUES = st.one_of(
+    st.integers(-2, 99).map(str),
+    st.sampled_from(["", "x", "1.5", " 3", "+2", "Q", "Z", "R", "group-ring", "sign-graded",
+                     "intconst-poly", "a", "solve"]),
+    st.sampled_from(["-", "--", "-1", "-x", "--in"]),
+)
+FLAG_TOKENS = st.one_of(
+    st.sampled_from(FLAGS),
+    st.sampled_from(FLAGS).flatmap(lambda f: st.sampled_from([f[:k] for k in range(1, len(f))])),
+    st.builds("{}={}".format, st.sampled_from(FLAGS), VALUES),
+    st.sampled_from(["-h", "--help", "--", "-1", "", "x"]),
+)
+
+
+def option_pairs(flags, keywords):
+    """(flag, value) pairs of one option: a value it takes, or any value."""
+    if "choices" in keywords:
+        takes = st.sampled_from(keywords["choices"])
+    elif keywords.get("type") is int:
+        takes = st.integers(0, 99).map(str)
+    else:
+        takes = st.sampled_from(["a", "f.json"])
+    return st.tuples(st.just(flags[0]), takes | takes | VALUES)
+
+
+def argvs(command):
+    """A command, flag and value pairs with distinct flags, most of them its
+    own options', then nothing, one more token or one more pair."""
+    own = [option_pairs(*option) for option in cli._COMMANDS.get(command, ("", None, []))[2]]
+    pair = st.one_of(*own, *own, st.tuples(FLAG_TOKENS, VALUES))
+    tail = st.just(()) | st.just(()) | st.tuples(FLAG_TOKENS | VALUES) | pair
+    return st.builds(lambda pairs, tail: [command, *(t for p in pairs for t in p), *tail],
+                     st.lists(pair, max_size=4, unique_by=lambda p: p[0]), tail)
+
+
+ARGVS = st.sampled_from([*cli._COMMANDS, "bogus", "-h"]).flatmap(argvs)
+
+
+@settings(max_examples=400, deadline=None)
+@given(ARGVS)
+@example(["solve", "--budget", "3"])  # a required flag is missing
+@example(["solve", "--in", "--out"])  # a value that starts with - is a flag to argparse
+@example(["embed-cert", "--coeff", "R"])  # not one of the choices
+@example(["theta", "--s", "x", "--s", "3"])  # a repeated flag, its first value not an int
+def test_plain_reader_gives_the_full_parsers_namespace(argv):
+    check_plain_reader(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--in", "x"], ["solve", "--budget", "20", "--in", "x", "--out", "y"],
+    ["theta", "--s", "2", "--ymax", "10", "--radius", "1", "--seed", "3"], ["theta"],
+    ["folner", "--in", "q"], ["graded-verify", "--fixture", "group-ring", "--g", "a"],
+    ["embed-cert", "--coeff", "Z", "--radius", "3"], ["ideal", "--in", "f", "--seed", "4"],
+], ids=" ".join)
+def test_plain_lines_are_read_from_the_table(argv):
+    assert check_plain_reader(argv) is not None
+
+
+def test_plain_benchmark_lines_build_no_argparse(tmp_path, monkeypatch, capsys):
+    # the benchmark's ops are plain lines; main must not build argparse for them.
+    # --flag=value is not plain, so the same line in that form goes through argparse
+    z = write(tmp_path, "z.json", one_pm_t_json())
+    s3 = write(tmp_path, "s3.json", group_system({"family": "symmetric", "n": 3}, [2, 1, 3], [1, 3, 2]))
+    lines = [
+        ["solve", "--budget", "20", "--in", z], ["solve", "--in", s3, "--budget", "1"],
+        ["theta", "--s", "2", "--ymax", "10", "--radius", "0", "--seed", "1"],
+        ["theta", "--radius", "0", "--seed", "2"], ["embed-cert", "--coeff", "Z", "--radius", "1"],
+    ]
+    through_argparse = []
+    for argv in lines:
+        assert main([argv[0], *map("{}={}".format, argv[1::2], argv[2::2])]) == 0
+        through_argparse.append(capsys.readouterr().out)
+
+    def no_argparse():
+        raise AssertionError("argparse built for a plain line")
+
+    monkeypatch.setattr(cli, "build_parser", no_argparse)
+    for argv, out in zip(lines, through_argparse):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == out
 
 
 def run_python(code, *argv, timeout):
@@ -515,6 +606,16 @@ def test_free_group_solve_at_the_default_budget_stops_at_the_ball_cap(tmp_path):
     assert proc.returncode == 2 and "Traceback" not in proc.stderr
     assert proc.stderr == ("folner search failed: no ball of radius <= 9 meets the bound; "
                            "the ball of radius 10 has more than 100000 elements\n")
+
+
+def test_free_abelian_folner_at_the_default_budget_stops_at_the_box_cap(tmp_path):
+    # Z^6's box of side L has L^6 elements: side 7 (117,649) is past the cap
+    obj = {"group": {"family": "abelian", "rank": 6},
+           "s": [[int(i == k) for i in range(6)] for k in range(-1, 6)], "ratio": "101/100"}
+    proc = run_cli(["folner", "--in", write(tmp_path, "z6.json", obj)], timeout=30)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == ("folner search failed: no box of side <= 6 meets the bound; "
+                           "the box of side 7 has more than 100000 elements\n")
 
 
 def test_symmetric_and_cyclic_orders_up_to_the_cap_build():
@@ -756,6 +857,10 @@ NO_FILE = "bad input: [Errno 2] No such file or directory: "
 FAILURES = {
     "folner-exhausted": (["folner", "--in", "free.json"], {"free.json": FREE_FOLNER}, 2,
                          "folner search failed: no ball of radius <= 3 meets the bound\n"),
+    "folner-box-exhausted": (["folner", "--in", "z2.json"],
+                             {"z2.json": {"group": {"family": "abelian", "rank": 2}, "budget": 3,
+                                          "s": [[0, 0], [1, 0], [0, 1]], "ratio": "101/100"}}, 2,
+                             "folner search failed: no box of side <= 3 meets the bound\n"),
     "solve-exhausted": (["solve", "--in", "fn.json", "--budget", "3"],
                         {"fn.json": footnote_json()}, 2,
                         "folner search failed: no ball of radius <= 3 meets the bound\n"),
