@@ -212,8 +212,8 @@ class IntConstPolyRing:
     Graded by Z with degree-0 component Z and every negative component zero.
     """
 
-    def __init__(self, rank: int = 2):
-        self.base = GroupRing(FreeGroup(rank), cf.ZZ)
+    def __init__(self):
+        self.base = GroupRing(FreeGroup(2), cf.ZZ)
 
     def make(self, coeffs) -> tuple:
         """Validate and trim a coefficient list (ascending degree)."""

@@ -4,10 +4,12 @@ Three families: free groups (reduced words), free abelian groups (integer
 vectors), and finite groups (element list + multiplication table; S_n
 multiplies by composition and stores no table).
 Elements are plain hashable values; the descriptor supplies the operations.
-Each family also supplies its generators (``generators``), from which balls
-are derived, its Folner schedule (``folner_schedule``), its JSON form
-(``to_json``) and its coset classifier (``cosets``).  A finite subset is a
-tuple of distinct elements in the group's canonical order (``sorted_subset``).
+Every descriptor is a ``_Group``: equal to another of its class with an equal
+``key``.  Each family also supplies its generators (``generators``), from
+which balls are derived, its Folner schedule (``folner_schedule``), its JSON
+form (``to_json``, ``elem_to_json``, ``elem_from_json``) and its coset
+classifier (``cosets``).  A finite subset is a tuple of distinct elements in
+the group's canonical order (``sorted_subset``).
 
 Canonical orderings: shortlex on words (a < a^-1 < b < b^-1 ...), plain
 lexicographic on integer vectors, list position for finite groups.
@@ -15,7 +17,6 @@ lexicographic on integer vectors, list position for finite groups.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from fractions import Fraction
@@ -58,17 +59,29 @@ def _bfs(mul, start, gens, radius=math.inf):
     return seen
 
 
-class FreeGroup:
-    """Free group of given rank; elements are reduced tuples of nonzero ints,
-    letter +i meaning the i-th generator and -i its inverse (1-based)."""
+class _Group:
+    """A group descriptor: equal to another of its class with an equal
+    ``key`` (the parameters that fix its product), and hashed by its class
+    and key."""
 
-    family = "free"
+    def __eq__(self, other):
+        return type(other) is type(self) and other.key == self.key
+
+    def __hash__(self):
+        return hash((type(self), self.key))
+
+
+class FreeGroup(_Group):
+    """Free group of given rank; elements are reduced tuples of nonzero ints,
+    letter +i meaning the i-th generator and -i its inverse (1-based).  The
+    rank is at most 26, one JSON letter a..z per generator."""
 
     def __init__(self, rank: int):
         if rank < 1:
             raise ValueError("rank must be >= 1")
-        self.rank = rank
-        self.identity = ()
+        if rank > len(_LETTERS):
+            raise ValueError(f"free-group rank {rank} exceeds the {len(_LETTERS)} letters a..z")
+        self.rank, self.key, self.identity = rank, (rank,), ()
 
     def mul(self, g, h):
         out = list(g)
@@ -128,26 +141,17 @@ class FreeGroup:
             out = self.mul(out, (i,) if tok.islower() else (-i,))
         return out
 
-    def __eq__(self, other):
-        return type(other) is FreeGroup and other.rank == self.rank
-
-    def __hash__(self):
-        return hash(("free", self.rank))
-
     def __repr__(self):
         return f"FreeGroup({self.rank})"
 
 
-class FreeAbelian:
+class FreeAbelian(_Group):
     """Z^d; elements are integer tuples of length d, written additively."""
-
-    family = "abelian"
 
     def __init__(self, rank: int):
         if rank < 1:
             raise ValueError("rank must be >= 1")
-        self.rank = rank
-        self.identity = (0,) * rank
+        self.rank, self.key, self.identity = rank, (rank,), (0,) * rank
 
     def mul(self, g, h):
         return tuple(map(add, g, h))
@@ -189,36 +193,30 @@ class FreeAbelian:
             raise ValueError(f"vector length {len(v)} != rank {self.rank}")
         return v
 
-    def __eq__(self, other):
-        return type(other) is FreeAbelian and other.rank == self.rank
-
-    def __hash__(self):
-        return hash(("abelian", self.rank))
-
     def __repr__(self):
         return f"FreeAbelian({self.rank})"
 
 
-class FiniteGroup:
+class FiniteGroup(_Group):
     """Explicit finite group.  The product is one table of index rows:
     ``rows[i][j]`` is the position of ``elements[i] * elements[j]``.  The table
     is checked once on construction (closure, identity, inverses, associativity
-    by Light's test).  ``symmetric`` returns a ``SymmetricGroup``, whose
-    product is composition and which stores no table."""
+    by Light's test), and the key is ``(elements, rows)``.  ``symmetric``
+    returns a ``SymmetricGroup``, whose product is composition and which
+    stores no table."""
 
-    family = "finite"
-
-    def __init__(self, elements, rows, generators=None, kind="label"):
+    def __init__(self, elements, rows, generators=None):
         """The group on ``elements`` in which ``elements[i] * elements[j]`` is
         ``elements[rows[i][j]]``; each entry must lie in range(n).  The table
         is checked for distinct elements, closure, identity, inverses and
         associativity, in this order."""
         els = tuple(elements)
-        self.elements, self.kind, n, generators = els, kind, len(els), tuple(generators or ())
+        self.elements, n, generators = els, len(els), tuple(generators or ())
         self._index = {g: i for i, g in enumerate(els)}
         if len(self._index) != n:
             raise ValueError("duplicate elements")
         self.rows = rows = tuple(map(tuple, rows))
+        self.key = (els, rows)
         valid = set(range(n))
         if len(rows) != n or not all(len(row) == n and valid.issuperset(row) for row in rows):
             raise ValueError("multiplication table is not closed")
@@ -290,8 +288,6 @@ class FiniteGroup:
         return [self.elements], "whole finite group does not meet the bound"
 
     def to_json(self) -> dict:
-        if self.kind == "perm":
-            return {"family": "symmetric", "n": len(self.elements[0])}
         return {"family": "finite", "elements": list(self.elements),
                 "table": list(map(list, self.rows))}
 
@@ -299,47 +295,28 @@ class FiniteGroup:
         return FiniteCosets(self, generators)
 
     def elem_to_json(self, g):
-        if self.kind == "perm":
-            return [i + 1 for i in g]
         return g
 
     def elem_from_json(self, obj):
-        if self.kind == "perm":
-            if not all(map(_is_int, obj)):
-                raise ValueError(f"permutation {obj!r} must hold ints only")
-            g = tuple(i - 1 for i in obj)
-        else:
-            g = obj if not isinstance(obj, list) else tuple(obj)
+        g = obj if not isinstance(obj, list) else tuple(obj)
         i = self._index.get(g)
         # equal is not enough: true == 1 == 1.0, and JSON tells them apart
         if i is None or _json_type(g) != _json_type(self.elements[i]):
             raise ValueError(f"{obj!r} is not an element of this group")
         return g
 
-    def __eq__(self, other):
-        # two SymmetricGroups on the same elements compose alike: no rows needed
-        return other is self or (
-            isinstance(other, FiniteGroup)
-            and other.elements == self.elements
-            and (type(other) is type(self) is SymmetricGroup or other.rows == self.rows)
-        )
-
-    def __hash__(self):
-        return hash(("finite", self.elements))
-
     def __repr__(self):
         return f"FiniteGroup(order={len(self.elements)})"
 
 
 class SymmetricGroup(FiniteGroup):
-    """S_n on {0..n-1}, its elements in sorted order.  The product is
-    composition, right factor first, so no table is built or checked;
-    ``rows``, the index table of the other finite groups, is derived when
-    first read."""
-
-    kind = "perm"
+    """S_n on {0..n-1}, its elements in sorted order, keyed by ``(n,)``.  The
+    product is composition, right factor first, so no table is built or
+    checked.  In JSON the group is ``{"family": "symmetric", "n": n}`` and a
+    permutation is its 1-based one-line list."""
 
     def __init__(self, n: int):
+        self.n, self.key = n, (n,)
         # permutations of a sorted range come in sorted order
         self.elements = els = tuple(itertools.permutations(range(n)))
         self.identity = els[0]
@@ -353,10 +330,19 @@ class SymmetricGroup(FiniteGroup):
     def inv(self, g):
         return tuple(sorted(range(len(g)), key=g.__getitem__))
 
-    @functools.cached_property
-    def rows(self):
-        index, els = self._index, self.elements
-        return tuple(tuple(index[self.mul(g, h)] for h in els) for g in els)
+    def to_json(self) -> dict:
+        return {"family": "symmetric", "n": self.n}
+
+    def elem_to_json(self, g):
+        return [i + 1 for i in g]
+
+    def elem_from_json(self, obj):
+        if not all(map(_is_int, obj)):
+            raise ValueError(f"permutation {obj!r} must hold ints only")
+        g = tuple(i - 1 for i in obj)
+        if g not in self._index:
+            raise ValueError(f"{obj!r} is not an element of this group")
+        return g
 
 
 # ---------------------------------------------------------------------------

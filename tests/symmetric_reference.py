@@ -9,7 +9,7 @@ from gradedsrc.groups import FiniteGroup
 
 
 def table_symmetric(n):
-    """S_n on {0..n-1} with the same elements, generators and JSON form as
+    """S_n on {0..n-1} with the same elements and generators as
     ``FiniteGroup.symmetric(n)``, built as an explicit table, so that the
     FiniteGroup constructor checks it (closure, identity, inverses, Light's
     associativity test)."""
@@ -30,4 +30,4 @@ def table_symmetric(n):
             if rows[a_s] is None:
                 rows[a_s] = step(rows[a])
                 queue.append(a_s)
-    return FiniteGroup(els, rows, generators=gens or None, kind="perm")
+    return FiniteGroup(els, rows, generators=gens or None)

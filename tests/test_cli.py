@@ -239,6 +239,26 @@ def test_group_and_element_json_roundtrip(G, data):
         assert back == g and repr(back) == repr(g)  # repr tells 1, 1.0 and True apart
 
 
+# the Klein four-group on labels 0..3: the elements of C_4, another table
+KLEIN4 = FiniteGroup(range(4), [[a ^ b for b in range(4)] for a in range(4)])
+ALL_GROUPS = GROUPS | st.just(KLEIN4)
+# a group and either another drawn group or its own rebuild through JSON
+GROUP_PAIRS = ALL_GROUPS.flatmap(lambda G: st.tuples(
+    st.just(G), ALL_GROUPS | st.just(group_from_json(through_json(G.to_json())))))
+
+
+@given(GROUP_PAIRS)
+@example((KLEIN4, FiniteGroup.cyclic(4)))
+@example((FreeGroup(2), FreeAbelian(2)))
+@settings(max_examples=100, deadline=None)
+def test_groups_are_equal_exactly_when_class_and_json_agree(pair):
+    G, H = pair
+    same = type(G) is type(H) and G.to_json() == H.to_json()
+    assert (G == H) is same and (H == G) is same
+    if same:
+        assert hash(G) == hash(H)
+
+
 RINGS = st.sampled_from([QQ, ZZ, ZSQRT5, PrimeField(2), PrimeField(7), PrimeField(2**61 - 1),
                          ff_extend(2, 3), ff_extend(3, 2), ff_extend(5, 3), ff_extend(2, 8)])
 
@@ -888,6 +908,13 @@ FAILURES = {
     "symmetric-negative": (["solve", "--in", "s.json"],
                            {"s.json": empty_system({"family": "symmetric", "n": -1})}, 1,
                            "bad input: S_n needs n >= 0, not -1\n"),
+    "free-rank-27": (["folner", "--in", "f.json"],
+                     {"f.json": {"group": {"family": "free", "rank": 27}, "s": ["", "a"],
+                                 "ratio": "2", "budget": 3}}, 1,
+                     "bad input: free-group rank 27 exceeds the 26 letters a..z\n"),
+    "ideal-free": (["ideal", "--in", "i.json"],
+                   {"i.json": {"group": {"family": "free", "rank": 2}, "h": ["a"]}}, 1,
+                   "error: coset classification unsupported for FreeGroup(2)\n"),
 }
 
 

@@ -14,6 +14,7 @@ import pytest
 
 from gradedsrc.cli import main
 from test_acceptance import _run_criterion_1, _run_criterion_7
+from test_cli import Z2_Z3_GROUP
 
 # criterion 1's 70 solutions, in the order the criterion solves them
 CRITERION_1 = [
@@ -217,13 +218,30 @@ SOLVE_FQ9 = {
     ],
 }
 
+# 1 x 3 systems over Q[C_4] and over Z/2 x Z/3 on list labels
+SOLVE_C4 = {
+    "group": {"family": "cyclic", "n": 4},
+    "coeff": {"ring": "Q"},
+    "m": 1,
+    "n": 3,
+    "a": [[[[1, "1"], [0, "-1"]], [[2, "2"]], [[3, "1/2"], [1, "1"]]]],
+}
+SOLVE_Z2_Z3 = {
+    "group": Z2_Z3_GROUP,
+    "coeff": {"ring": "Q"},
+    "m": 1,
+    "n": 3,
+    "a": [[[[[1, 0], "1"], [[0, 1], "-1"]], [[[1, 2], "3"]], [[[0, 2], "1"], [[0, 0], "1"]]]],
+}
+
 INPUT_FILES = {
     "solve": {"s5": SOLVE_S5, "s4": SOLVE_S4, "s6": SOLVE_S6, "z_z2": SOLVE_Z_Z2,
-              "fq9": SOLVE_FQ9},
+              "fq9": SOLVE_FQ9, "c4": SOLVE_C4, "z2_z3": SOLVE_Z2_Z3},
     "folner": {"d3": FOLNER_D3},
 }
 
-# recorded with the triple-loop associativity check that preceded Light's test
+# s5, s4 and d3 recorded with the triple-loop associativity check that
+# preceded Light's test; c4 and z2_z3 before groups took equality from a key
 FINITE_GROUPS = {
     "solve --budget 1 s5": (
         "3ab1bc5b21d1ab89d21a4faeeb2d07d8703d35293f823e708762dd2998fb4c79"
@@ -234,6 +252,8 @@ FINITE_GROUPS = {
     "folner d3": (
         "5301a8c894a9b5dab8062aed9faec5b5c9281c38caabfd3f3bc2bde6ab43f112"
     ),
+    "solve c4": "247a54db0bd3062e1652eee6b133a188e1f6489d9d076691be046a20eaa7ec99",
+    "solve z2_z3": "dbee7f81ca1afedd795ddc87b54fcd292394961d5c00412fcbb2f08800c2faff",
 }
 
 
@@ -348,6 +368,9 @@ INPUT_FILES["ideal"] = {
     "k_in_h": {"group": S3, "h": [[2, 1, 3], [2, 3, 1]], "k": [[2, 3, 1]]},
     "incomparable": {"group": S3, "h": [[2, 1, 3]], "k": [[2, 3, 1]]},
     "equal": {"group": S3, "h": [[2, 3, 1]], "k": [[3, 1, 2]]},
+    # a cyclic group is written back in the "finite" table form
+    "cyclic": {"group": {"family": "cyclic", "n": 6}, "h": [2], "k": [3],
+               "r": [[0, "1"], [2, "-1"]]},
 }
 INPUT_FILES["folner"]["readme"] = {
     "group": {"family": "abelian", "rank": 2},
@@ -357,13 +380,15 @@ INPUT_FILES["folner"]["readme"] = {
 }
 
 # recorded with distinguish_subgroups' two mirrored sampling loops; the
-# relation each case reaches is in its name (the README's is incomparable)
+# relation each case reaches is in its name (the README's and the cyclic
+# one's are incomparable); ideal cyclic before groups took equality from a key
 IDEAL_AND_FOLNER = {
     "ideal readme": "976a6d25ed7929860644b66d2060d1dca3e19c112f3488e1487c9e01a8f5cc90",
     "ideal h_in_k": "0b7d967d82fea551aef2d371f224b9807cc9d60209a20c6358eba1e859ff61cb",
     "ideal k_in_h": "1b3d272374115cec0c5137efe8af97c2d59670c593fe7ff1388ef7811c03b678",
     "ideal incomparable": "a5338da8d187cc4da97a57d6f63606c385d272d00aa8aeb78e2a6b4ae6263302",
     "ideal equal": "6b68d8346aebce1a7b524f85ef35c724ee3d1d0437cbae7442dbf9e1d38557c9",
+    "ideal cyclic": "f5bd5931626a66dc88e746b5121675b7b81e62ea66072e9e5ee2656bf102ecd8",
     "folner readme": "4db9a9aaeff37f5c2c56a0c98aacf33986831627e30bc2235e3b6838aae751dd",
 }
 
