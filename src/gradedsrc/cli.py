@@ -8,21 +8,24 @@ exhausted, 3 set-system search exhausted.
 
 A plain line, ``COMMAND --flag value ...`` with each flag spelled out and
 given once and no value starting with ``-``, is read straight from the
-command table (``read_plain``), so argparse is not built at all.  Every
+command table (``read_plain``), so argparse is not even imported.  Every
 other line (``--help``, which exits 0, abbreviated flags, ``--flag=value``,
 negative values, repeated flags and every usage error) goes through the
-argparse parser, with its messages and exit codes unchanged.
+argparse parser, with its messages and exit codes unchanged.  ``ideals`` is
+imported only by the ``ideal`` command.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 import tempfile
+import types
 
 from . import __version__
+# bartholdi is imported here, not in cmd_theta: perfbench's tracer patches
+# only modules already loaded, and a lazy import left its metrics at zero
 from .bartholdi import (
     ThetaMap,
     construct_alphas,
@@ -42,7 +45,6 @@ from .gring import (
     sign_graded_witness,
 )
 from .groups import FreeGroup, folner_search, sorted_subset
-from .ideals import distinguish_subgroups, ideal_membership_IH
 from .serialize import (
     coeff_from_json,
     group_from_json,
@@ -172,6 +174,8 @@ def cmd_embed_cert(args) -> dict:
 
 
 def cmd_ideal(args) -> dict:
+    from .ideals import distinguish_subgroups, ideal_membership_IH
+
     obj = load_json(args.infile)
     G = group_from_json(obj["group"])
     ring = GroupRing(G, coeff_from_json(obj.get("coeff", {"ring": "Q"})))
@@ -232,7 +236,10 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    """The full argparse parser, for the lines ``read_plain`` leaves."""
+    import argparse
+
     p = argparse.ArgumentParser(prog="gradedsrc")
     sub = p.add_subparsers(dest="command", required=True)
     for name, (help_line, fn, options) in _COMMANDS.items():
@@ -243,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def read_plain(argv) -> argparse.Namespace | None:
+def read_plain(argv) -> types.SimpleNamespace | None:
     """The namespace ``build_parser`` gives a plain ``COMMAND --flag value ...``
     line, read from ``_COMMANDS`` alone: each flag one of the command's own,
     spelled out and given once, each value a separate token that does not start
@@ -273,7 +280,7 @@ def read_plain(argv) -> argparse.Namespace | None:
         if "choices" in keywords and value not in keywords["choices"]:
             return None
         values[dest] = value
-    return None if given else argparse.Namespace(**values)  # an unknown flag is left
+    return None if given else types.SimpleNamespace(**values)  # an unknown flag is left
 
 
 def main(argv=None) -> int:

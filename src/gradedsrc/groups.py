@@ -30,9 +30,11 @@ _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 # lifts over F = S_n, and C_n's table holds n^2 entries, so S_7 (5040
 # elements) and C_1001 are bad input.
 ORDER_CAP = 1000
-# Largest set an infinite group's Folner schedule lists.  F_2's ball of
-# radius r has 2*3^r - 1 elements, so radius 9 (39,365) is the last it tries;
-# Z^d's box of side L has L^d, so Z^2 stops at side 316 and Z^4 at side 17.
+# Most elements an infinite group's Folner schedule lists, in one set and in
+# all its sets together.  F_2's ball of radius r has 2*3^r - 1 elements, so
+# radius 9 (39,365; 59,038 with the smaller balls) is the last it tries; Z^d's
+# box of side L has L^d, so Z^6 stops at side 6 (117,649 at side 7) and Z^3 at
+# side 24 (boxes of side 1..24 hold 90,000 elements, 105,625 with side 25).
 SCHEDULE_CAP = 100_000
 
 
@@ -57,6 +59,21 @@ def _bfs(mul, start, gens, radius=math.inf):
                     new.append(v)
         frontier = new
     return seen
+
+
+def _walk_cap(sizes, count: int) -> tuple:
+    """(taken, why): how many of the first ``count`` candidate sizes a Folner
+    walk tries, stopping before a set of more than ``SCHEDULE_CAP`` elements
+    or one that would bring the sets tried past ``SCHEDULE_CAP`` in all;
+    ``why`` says which, or is empty if the walk takes all ``count``."""
+    total = 0
+    for taken, size in enumerate(itertools.islice(sizes, count)):
+        if size > SCHEDULE_CAP:
+            return taken, f"has more than {SCHEDULE_CAP} elements"
+        total += size
+        if total > SCHEDULE_CAP:
+            return taken, f"would bring the sets tried past {SCHEDULE_CAP} elements in all"
+    return count, ""
 
 
 class _Group:
@@ -107,15 +124,19 @@ class FreeGroup(_Group):
 
     def folner_schedule(self, budget: int) -> tuple:
         """(candidate sets, exhaustion message): balls of radius 0..budget,
-        stopping before a ball of more than ``SCHEDULE_CAP`` elements.  For
-        rank >= 2 no sets are Folner sets, so a bound near 1 exhausts it."""
-        last, size, sphere = 0, 1, 2 * self.rank  # |ball(last)|, |sphere(last + 1)|
-        while last < budget and size + sphere <= SCHEDULE_CAP:
-            last, size, sphere = last + 1, size + sphere, sphere * (2 * self.rank - 1)
-        failure = f"no ball of radius <= {last} meets the bound"
-        if last < budget:
-            failure += f"; the ball of radius {last + 1} has more than {SCHEDULE_CAP} elements"
-        return (ball(self, r) for r in range(last + 1)), failure
+        walked within ``SCHEDULE_CAP`` (``_walk_cap``).  For rank >= 2 no
+        sets are Folner sets, so a bound near 1 exhausts it."""
+        def sizes():  # |ball(r)|, r = 0, 1, ...
+            size, sphere = 1, 2 * self.rank
+            while True:
+                yield size
+                size, sphere = size + sphere, sphere * (2 * self.rank - 1)
+
+        taken, why = _walk_cap(sizes(), budget + 1)
+        failure = f"no ball of radius <= {taken - 1} meets the bound"
+        if why:
+            failure += f"; the ball of radius {taken} {why}"
+        return (ball(self, r) for r in range(taken)), failure
 
     def to_json(self) -> dict:
         return {"family": "free", "rank": self.rank}
@@ -167,14 +188,12 @@ class FreeAbelian(_Group):
 
     def folner_schedule(self, budget: int) -> tuple:
         """(candidate sets, exhaustion message): boxes [0, L)^d, L = 1..budget,
-        stopping before a box of more than ``SCHEDULE_CAP`` elements."""
-        last = 0
-        while last < budget and (last + 1) ** self.rank <= SCHEDULE_CAP:
-            last += 1
-        failure = f"no box of side <= {last} meets the bound"
-        if last < budget:
-            failure += f"; the box of side {last + 1} has more than {SCHEDULE_CAP} elements"
-        return (box(self, side) for side in range(1, last + 1)), failure
+        walked within ``SCHEDULE_CAP`` (``_walk_cap``)."""
+        taken, why = _walk_cap((side**self.rank for side in itertools.count(1)), budget)
+        failure = f"no box of side <= {taken} meets the bound"
+        if why:
+            failure += f"; the box of side {taken + 1} {why}"
+        return (box(self, side) for side in range(1, taken + 1)), failure
 
     def to_json(self) -> dict:
         return {"family": "abelian", "rank": self.rank}
@@ -367,6 +386,10 @@ def box(G: FreeAbelian, side: int) -> tuple:
 
 
 def product_set(G, S: tuple, F: tuple) -> tuple:
+    """SF as a finite subset.  For a finite G, a nonempty S and |F| = |G|,
+    SF = G: its elements, already in canonical order, with no product formed."""
+    if S and isinstance(G, FiniteGroup) and len(F) == len(G.elements):
+        return G.elements
     return sorted_subset(G, {G.mul(s, f) for s in S for f in F})
 
 

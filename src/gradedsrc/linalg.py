@@ -7,6 +7,9 @@ lists.  Everything runs through the ring descriptor protocol.  Q and Z
 kernels run mod a prime first and are checked exactly; integer kernels are
 cleared to primitive vectors.  F_q kernels run on element indices, with
 the field's log/Zech tables, below the size cap of ``ExtField.index_field``.
+Each front hands the engine an entry map, which it applies to a column when
+it reaches that column, so a caller that takes only the first kernel vector
+converts only the columns up to it.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 from bisect import insort
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from itertools import islice
 from math import gcd, lcm
 
@@ -89,12 +93,16 @@ def kernel_vectors(columns, ring):
     its free column and is supported on that column and the pivot columns
     before it, so it is the unique such kernel vector: the one reduced row
     echelon form gives.  Vectors are dense lists of length ``len(columns)``.
+    Entries are converted and zero entries dropped one column at a time, as
+    the engine reaches it: a caller that stops early pays for no more.
 
-    Over Q and Z the engine runs mod p = ``MODULUS`` first: columns
-    independent mod p are independent over Q, so each lifted vector that
-    passes the exact check is the one exact elimination yields, and exact
-    elimination takes over at the first failure.  Over Z each vector is
-    cleared to a primitive integer vector with positive leading entry.
+    Over Q and Z the engine runs mod p = ``MODULUS`` first, reading a/b as
+    a * b^-1 mod p; a denominator divisible by p sends the system to exact
+    elimination at once.  Columns independent mod p are independent over Q,
+    so each lifted vector that passes the exact check is the one exact
+    elimination yields, and exact elimination takes over at the first
+    failure.  Over Z each vector is cleared to a primitive integer vector
+    with positive leading entry.
 
     Over an ``ExtField`` of order up to the cap the engine runs on the
     element indices of ``from_index``, through ``index_field()``: its
@@ -103,29 +111,32 @@ def kernel_vectors(columns, ring):
     arithmetic gives; they are decoded back to coefficient tuples.
     """
     if isinstance(ring, ExtField) and (field := ring.index_field()) is not None:
-        code = {a: ring.index(a) for a in {a for col in columns for a in col.values()}}
-        indexed = [{r: code[a] for r, a in col.items()} for col in columns]
         zero, decode = ring.zero, ring.from_index
-        for u in _kernel_engine(indexed, field):
+        # each distinct entry is encoded once
+        for u in _kernel_engine(columns, field, cache(ring.index)):
             yield [decode(x) if x else zero for x in u]
         return
     if not isinstance(ring, (Rationals, Integers)):
         yield from _kernel_engine(columns, ring)
         return
     done = 0
-    try:
-        # a/b as a * b^-1 mod p; pow raises ValueError if p divides b
-        modular = [{r: a.numerator * pow(a.denominator, -1, MODULUS) % MODULUS
-                    for r, a in col.items()} for col in columns]
-        for u in _kernel_engine(modular, _MODULAR):
-            yield _lift(u, columns, ring)
-            done += 1
-        return
-    except ValueError:  # p divides a denominator, or a vector did not lift
-        pass
-    rational = [{r: Fraction(a) for r, a in col.items()} for col in columns]
-    for v in islice(_kernel_engine(rational, QQ), done, None):
+    # a denominator divisible by p has no inverse mod p: exact elimination at once
+    if all(d % MODULUS for d in {a.denominator for col in columns for a in col.values()}):
+        try:
+            for u in _kernel_engine(columns, _MODULAR, _mod_p):
+                yield _lift(u, columns, ring)
+                done += 1
+            return
+        except ValueError:  # a vector did not lift
+            pass
+    for v in islice(_kernel_engine(columns, QQ, Fraction), done, None):
         yield clear_denominators(v) if isinstance(ring, Integers) else v
+
+
+def _mod_p(a):
+    """a/b as a * b^-1 mod p."""
+    num, den = a.numerator, a.denominator
+    return (num if den == 1 else num * pow(den, -1, MODULUS)) % MODULUS
 
 
 def _reconstruct(u):
@@ -156,13 +167,16 @@ def _lift(u, columns, ring):
     return w if isinstance(ring, Integers) else v
 
 
-def _kernel_engine(columns, ring):
+def _kernel_engine(columns, ring, entry=None):
     """The column engine of ``kernel_vectors`` over a field; the field's
-    ``axpy`` does every row operation."""
+    ``axpy`` does every row operation.  ``entry``, if given, maps a column's
+    entries into the field when the engine reaches that column, so a caller
+    that stops at the first kernel vector converts only the columns up to
+    it."""
     zero, one = ring.zero, ring.one
     is_zero, mul, axpy = ring.is_zero, ring.mul, ring.axpy
-    columns = [{r: a for r, a in col.items() if not is_zero(a)} for col in columns]
-    # how many columns not yet reduced have an entry in each row
+    # how many columns not yet reduced have an entry in each row, read from
+    # the raw columns: an entry that maps to zero still counts
     later = Counter(r for col in columns for r in col)
     # per pivot, in input order: (pivot row, reduced column with entry one
     # there and zero at every earlier pivot row, input column, inverse of the
@@ -172,7 +186,10 @@ def _kernel_engine(columns, ring):
     for c, col in enumerate(columns):
         for r in col:
             later[r] -= 1
-        vec = dict(col)
+        if entry is None:
+            vec = {r: a for r, a in col.items() if not is_zero(a)}
+        else:
+            vec = {r: b for r, a in col.items() if not is_zero(b := entry(a))}
         mults = {}
         # The pivots met, in pivot order.  Reducing by pivot k only adds
         # entries at rows of later pivots (pcol_k is zero at earlier ones),

@@ -502,6 +502,15 @@ def test_import_loads_no_dataclasses_or_inspect():
     assert proc.stdout.strip() == "[]"
 
 
+def test_import_loads_no_argparse_or_ideals():
+    # plain lines need no argparse, and only the ideal command needs ideals
+    code = ("import sys; before = set(sys.modules); import gradedsrc.cli; "
+            "print(sorted({'argparse', 'gradedsrc.ideals'} & (set(sys.modules) - before)))")
+    proc = run_python(code, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize("key, value", [("n", "2"), ("n", 2.7), ("m", True)],
                          ids=["n-str", "n-float", "m-bool"])
 def test_non_int_system_shape_is_bad_input(tmp_path, capsys, key, value):
@@ -636,6 +645,18 @@ def test_free_abelian_folner_at_the_default_budget_stops_at_the_box_cap(tmp_path
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr == ("folner search failed: no box of side <= 6 meets the bound; "
                            "the box of side 7 has more than 100000 elements\n")
+
+
+def test_free_abelian_folner_stops_when_the_boxes_tried_pass_the_cap(tmp_path):
+    # each box of Z^3 is within the cap up to side 46, but boxes of side
+    # 1..24 hold 90,000 elements in all and side 25 would bring them to 105,625
+    obj = {"group": {"family": "abelian", "rank": 3},
+           "s": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], "ratio": "101/100"}
+    proc = run_cli(["folner", "--in", write(tmp_path, "z3.json", obj)], timeout=30)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == ("folner search failed: no box of side <= 24 meets the bound; "
+                           "the box of side 25 would bring the sets tried past 100000 "
+                           "elements in all\n")
 
 
 def test_symmetric_and_cyclic_orders_up_to_the_cap_build():

@@ -275,6 +275,35 @@ def test_product_set_counts():
     assert product_set(F2, ball(F2, 1), ball(F2, 2)) == ball(F2, 3)
 
 
+# the Klein four-group as an explicit table: elements (a, b) in C2 x C2
+KLEIN = FiniteGroup([(a, b) for a in (0, 1) for b in (0, 1)],
+                    [[2 * (a ^ c) + (b ^ d) for c in (0, 1) for d in (0, 1)]
+                     for a in (0, 1) for b in (0, 1)])
+PRODUCT_GROUPS = {"S3": FiniteGroup.symmetric(3), "S4": FiniteGroup.symmetric(4),
+                  "C1": FiniteGroup.cyclic(1), "C5": FiniteGroup.cyclic(5),
+                  "C12": FiniteGroup.cyclic(12), "Klein": KLEIN}
+
+
+@st.composite
+def finite_product_cases(draw):
+    """A finite group, a random S (possibly empty) and an F that is the whole
+    group half of the time, else a random subset."""
+    G = PRODUCT_GROUPS[draw(st.sampled_from(sorted(PRODUCT_GROUPS)))]
+    subset = st.sets(st.sampled_from(G.elements)).map(lambda xs: sorted_subset(G, xs))
+    S = draw(subset)
+    F = G.elements if draw(st.booleans()) else draw(subset)
+    return G, S, F
+
+
+@settings(max_examples=300, deadline=None)
+@given(finite_product_cases())
+def test_product_set_equals_the_explicit_products(case):
+    # for F = G and S nonempty, product_set returns G without forming a product
+    G, S, F = case
+    assert product_set(G, S, F) == tuple(sorted({G.mul(s, f) for s in S for f in F},
+                                                key=G.sort_key))
+
+
 def test_folner_z2_cross():
     S = sorted_subset(Z2, [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)])
     F, _ = folner_search(Z2, S, Fraction(2), 20)

@@ -280,9 +280,9 @@ def engine_rings(monkeypatch):
     seen = []
     engine = linalg._kernel_engine
 
-    def spy(columns, ring):
+    def spy(columns, ring, entry=None):
         seen.append(ring)
-        return engine(columns, ring)
+        return engine(columns, ring, entry)
 
     monkeypatch.setattr(linalg, "_kernel_engine", spy)
     return seen

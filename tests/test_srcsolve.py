@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gradedsrc import linalg
 from gradedsrc.coeff import QQ, ZZ, PrimeField, ff_extend
 from gradedsrc.cli import main
 from gradedsrc.errors import FolnerNotFound
@@ -21,6 +22,7 @@ from gradedsrc.groups import (
     sorted_subset,
 )
 from gradedsrc.linalg import kernel_basis, kernel_vectors, rank
+from gradedsrc.serialize import system_from_json
 from gradedsrc.srcsolve import (
     LiftedSystem,
     LinearSystem,
@@ -413,6 +415,30 @@ def test_solve_builds_sf_once(qz2, s3, rng, monkeypatch):
             calls.update(product_set=0, folner_ratio_ok=0)
             assert solve_src(random_system(ring, rng, pool), budget=budget).verified
             assert calls["product_set"] == calls["folner_ratio_ok"] >= 1
+
+
+def test_solve_maps_only_the_columns_it_reaches(monkeypatch):
+    # the 1 x 3 Q[S5] system of the solve-s5 benchmark: F = S5 gives 360
+    # columns, and x_2's coefficient is zero, so column (x_2, e) is free and
+    # the engine stops there, having mapped only column (x_1, e) into F_p
+    obj = {"group": {"family": "symmetric", "n": 5}, "coeff": {"ring": "Q"}, "m": 1, "n": 3,
+           "a": [[[[[4, 2, 3, 5, 1], "1/1"], [[5, 1, 2, 4, 3], "-1/1"]], [],
+                  [[[4, 2, 1, 5, 3], "2/1"]]]]}
+    held, mapped = [], [0]
+    engine = linalg._kernel_engine
+
+    def spy(columns, ring, entry=None):
+        held.append(sum(map(len, columns)))
+
+        def counted(a):
+            mapped[0] += 1
+            return entry(a)
+
+        return engine(columns, ring, counted if entry else None)
+
+    monkeypatch.setattr(linalg, "_kernel_engine", spy)
+    assert solve_src(system_from_json(obj), budget=1).verified
+    assert held == [360] and mapped == [2]
 
 
 # --- one lift and one assembly for solving and truncated kernels -------------
