@@ -1,7 +1,10 @@
 """Exact linear algebra over the coefficient rings.
 
 Kernels go through one sparse engine, ``kernel_vectors``, which takes one
-``{row: entry}`` dict per column; ``kernel_basis`` is its dense front end.
+``{row: entry}`` dict per column and yields one ``{column: entry}`` dict per
+kernel vector, holding its nonzero entries in column order, so every stage
+after the engine costs in proportion to a vector's support;
+``kernel_basis`` is its dense front end.
 ``rank`` and ``determinant`` work on small dense matrices, lists of row
 lists.  Everything runs through the ring descriptor protocol.  Q and Z
 kernels run mod a prime first and are checked exactly; integer kernels are
@@ -92,9 +95,12 @@ def kernel_vectors(columns, ring):
     through the multipliers that reduced it.  That vector has entry one at
     its free column and is supported on that column and the pivot columns
     before it, so it is the unique such kernel vector: the one reduced row
-    echelon form gives.  Vectors are dense lists of length ``len(columns)``.
-    Entries are converted and zero entries dropped one column at a time, as
-    the engine reaches it: a caller that stops early pays for no more.
+    echelon form gives.  Each vector is a ``{column: entry}`` dict of its
+    nonzero entries, keys ascending; back-substitution visits only the
+    pivots it reaches, so a vector costs in proportion to its support, not
+    to the number of columns or pivots.  Entries are converted and zero
+    entries dropped one column at a time, as the engine reaches it: a caller
+    that stops early pays for no more.
 
     Over Q and Z the engine runs mod p = ``MODULUS`` first, reading a/b as
     a * b^-1 mod p; a denominator divisible by p sends the system to exact
@@ -111,10 +117,10 @@ def kernel_vectors(columns, ring):
     arithmetic gives; they are decoded back to coefficient tuples.
     """
     if isinstance(ring, ExtField) and (field := ring.index_field()) is not None:
-        zero, decode = ring.zero, ring.from_index
+        decode = ring.from_index
         # each distinct entry is encoded once
         for u in _kernel_engine(columns, field, cache(ring.index)):
-            yield [decode(x) if x else zero for x in u]
+            yield {c: decode(x) for c, x in u.items()}
         return
     if not isinstance(ring, (Rationals, Integers)):
         yield from _kernel_engine(columns, ring)
@@ -154,14 +160,13 @@ def _reconstruct(u):
 def _lift(u, columns, ring):
     """The exact kernel vector a mod-p one reconstructs to; ValueError if an
     entry does not reconstruct or sum_c v_c * col_c = 0 fails over Q."""
-    v = [_reconstruct(x) if x else QQ.zero for x in u]
+    v = {c: _reconstruct(x) for c, x in u.items()}
     w = clear_denominators(v)
     acc = {}
-    for c, k in enumerate(w):
-        if k:
-            for r, a in columns[c].items():
-                num, den = a.as_integer_ratio()  # integer entries keep the sums in int
-                acc[r] = acc.get(r, 0) + (k * num if den == 1 else k * a)
+    for c, k in w.items():
+        for r, a in columns[c].items():
+            num, den = a.as_integer_ratio()  # integer entries keep the sums in int
+            acc[r] = acc.get(r, 0) + (k * num if den == 1 else k * a)
     if any(acc.values()):
         raise ValueError("the lifted vector is not in the kernel")
     return w if isinstance(ring, Integers) else v
@@ -173,8 +178,7 @@ def _kernel_engine(columns, ring, entry=None):
     entries into the field when the engine reaches that column, so a caller
     that stops at the first kernel vector converts only the columns up to
     it."""
-    zero, one = ring.zero, ring.one
-    is_zero, mul, axpy = ring.is_zero, ring.mul, ring.axpy
+    one, is_zero, mul, axpy = ring.one, ring.is_zero, ring.mul, ring.axpy
     # how many columns not yet reduced have an entry in each row, read from
     # the raw columns: an entry that maps to zero still counts
     later = Counter(r for col in columns for r in col)
@@ -212,38 +216,41 @@ def _kernel_engine(columns, ring, entry=None):
             pivot_of[prow] = len(pivots)
             pivots.append((prow, pcol, c, inv, mults))
             continue
-        # column c = sum_k mults[k] * pcol_k; expand each pcol_k, last first
-        v = [zero] * len(columns)
-        v[c] = one
+        # column c = sum_k mults[k] * pcol_k; expand each pcol_k, last first.
+        # Only the pivots still pending in coef are visited: like queue above,
+        # pending is kept sorted and gains each key axpy adds to coef.
+        v = [(c, one)]  # (column, entry), columns descending
         coef = {k: ring.neg(f) for k, f in mults.items()}  # of pcol_k in v
-        for k in range(len(pivots) - 1, -1, -1):
-            t = coef.pop(k, None)
-            if t is None:
+        pending = sorted(coef)
+        while pending:
+            t = coef.pop(k := pending.pop(), None)
+            if t is None:  # cancelled, or a duplicate already expanded
                 continue
             _, _, ck, inv, kmults = pivots[k]
             t = mul(t, inv)
-            v[ck] = t
-            axpy(coef, t, kmults)
-        yield v
+            v.append((ck, t))
+            for j in axpy(coef, t, kmults):
+                insort(pending, j)
+        yield dict(reversed(v))
 
 
 def kernel_basis(matrix, ring, ncols=None):
-    """Exact basis of the right null space of a dense matrix; empty list iff
-    the map is injective.  Over Z the vectors are primitive integer vectors."""
+    """Exact basis of the right null space of a dense matrix, as dense lists;
+    empty list iff the map is injective.  Over Z the vectors are primitive
+    integer vectors."""
     nc = ncols if ncols is not None else (len(matrix[0]) if matrix else 0)
     columns = [{i: row[c] for i, row in enumerate(matrix)} for c in range(nc)]
-    return list(kernel_vectors(columns, ring))
+    zero = ring.zero
+    return [[v.get(c, zero) for c in range(nc)] for v in kernel_vectors(columns, ring)]
 
 
 def clear_denominators(vec):
-    """Primitive integer vector proportional to a rational one, leading entry > 0."""
-    ratios = [f.as_integer_ratio() for f in vec]
-    mult = lcm(*(d for _, d in ratios))
-    ints = [n * (mult // d) for n, d in ratios]
-    g = gcd(*ints)
-    if g > 1:
-        ints = [a // g for a in ints]
-    lead = next((a for a in ints if a != 0), 0)
-    if lead < 0:
-        ints = [-a for a in ints]
-    return ints
+    """Primitive integer vector proportional to a rational ``{column: entry}``
+    one, in the same key order; its first entry, the leading one, is > 0."""
+    ratios = {c: f.as_integer_ratio() for c, f in vec.items()}
+    mult = lcm(*(d for _, d in ratios.values()))
+    ints = {c: n * (mult // d) for c, (n, d) in ratios.items()}
+    g = gcd(*ints.values())
+    if next(iter(ints.values()), 0) < 0:
+        g = -g
+    return {c: a // g for c, a in ints.items()}

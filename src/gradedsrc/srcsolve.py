@@ -91,11 +91,12 @@ def lift_system(a, col_index: list, SF=()) -> LiftedSystem:
 
 def assemble_solution(ring: GroupRing, n: int, col_index: list, v) -> tuple:
     """x_j = sum_f delta_f * v_(j, f), the n group-ring elements of a lifted
-    kernel vector ``v``."""
+    kernel vector ``v``, a ``{column: nonzero entry}`` dict as
+    ``kernel_vectors`` yields it; only its entries are read."""
     terms = [[] for _ in range(n)]
-    for (j, f), c in zip(col_index, v):
-        if not ring.coeff.is_zero(c):
-            terms[j].append((f, c))
+    for c, x in v.items():
+        j, f = col_index[c]
+        terms[j].append((f, x))
     xs = tuple(ring.from_terms(t) for t in terms)
     if all(x.is_zero() for x in xs):
         raise AssertionError("zero assembly from a nonzero kernel vector")

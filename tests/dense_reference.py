@@ -1,5 +1,6 @@
 """Dense reduced row echelon form: the tests' reference for the library's
-rank and kernel routines, kept apart from the code it checks."""
+rank and kernel routines, kept apart from the code it checks; and the dense
+reading of the library's sparse kernel vectors."""
 
 
 def rref(matrix, ring, ncols=None):
@@ -28,3 +29,12 @@ def rref(matrix, ring, ncols=None):
         pivots.append(c)
         r += 1
     return rows, pivots
+
+
+def dense(v, ncols, zero):
+    """A ``{column: entry}`` kernel vector as the list of its ``ncols``
+    entries, ``zero`` where it holds none."""
+    out = [zero] * ncols
+    for c, x in v.items():
+        out[c] = x
+    return out

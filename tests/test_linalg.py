@@ -16,7 +16,7 @@ from gradedsrc.linalg import (
     rank,
 )
 
-from dense_reference import rref
+from dense_reference import dense, rref
 
 
 def frac(m):
@@ -54,9 +54,9 @@ def test_integer_kernel_primitive():
 
 
 def test_clear_denominators():
-    v = [Fraction(1, 2), Fraction(-1, 3), Fraction(0)]
-    assert clear_denominators(v) == [3, -2, 0]
-    assert clear_denominators([Fraction(-2, 4)]) == [1]
+    v = {0: Fraction(1, 2), 1: Fraction(-1, 3)}
+    assert dense(clear_denominators(v), 3, 0) == [3, -2, 0]
+    assert dense(clear_denominators({0: Fraction(-2, 4)}), 1, 0) == [1]
 
 
 matrices = st.lists(
@@ -159,7 +159,9 @@ def rref_vectors(matrix, ring, ncols):
         w[free] = field.one
         for i, c in enumerate(pivots):
             w[c] = field.neg(rows[i][free])
-        expected.append(clear_denominators(w) if ring == ZZ else w)
+        if ring == ZZ:
+            w = dense(clear_denominators({c: x for c, x in enumerate(w) if x}), ncols, 0)
+        expected.append(w)
     return expected
 
 
@@ -167,7 +169,7 @@ def rref_vectors(matrix, ring, ncols):
 def test_kernel_vectors_match_rref(case):
     ring, matrix, ncols = case
     columns = [{i: row[c] for i, row in enumerate(matrix)} for c in range(ncols)]
-    vectors = list(kernel_vectors(columns, ring))
+    vectors = [dense(v, ncols, ring.zero) for v in kernel_vectors(columns, ring)]
     for v in vectors:
         for row in matrix:
             acc = ring.zero
@@ -213,7 +215,30 @@ def test_kernel_vectors_match_rref_through_fill_in(case):
     ring, columns = case
     keys = sorted({r for col in columns for r in col})
     matrix = [[col.get(r, ring.zero) for col in columns] for r in keys]
-    assert list(kernel_vectors(columns, ring)) == rref_vectors(matrix, ring, len(columns))
+    vectors = [dense(v, len(columns), ring.zero) for v in kernel_vectors(columns, ring)]
+    assert vectors == rref_vectors(matrix, ring, len(columns))
+
+
+def as_columns(case):
+    ring, matrix, ncols = case
+    return ring, [{i: row[c] for i, row in enumerate(matrix)} for c in range(ncols)]
+
+
+@given(st.one_of(ring_matrices().map(as_columns), fill_in_columns()))
+def test_kernel_vectors_hold_their_nonzeros_in_column_order(case):
+    # each vector is {column: entry} with ascending int keys and no zero
+    # entry; a chain of fill-in makes back-substitution reach pivots that
+    # only the expansion of a later pivot adds
+    ring, columns = case
+    vectors = list(kernel_vectors(columns, ring))
+    for v in vectors:
+        assert all(type(c) is int for c in v)
+        assert list(v) == sorted(v)
+        assert not any(ring.is_zero(x) for x in v.values())
+    keys = sorted({r for col in columns for r in col})
+    matrix = [[col.get(r, ring.zero) for col in columns] for r in keys]
+    assert ([dense(v, len(columns), ring.zero) for v in vectors]
+            == rref_vectors(matrix, ring, len(columns)))
 
 
 class CountedKey:
@@ -243,10 +268,12 @@ P = linalg.MODULUS
 
 
 def exact_vectors(columns, ring):
-    """Kernel vectors from the private Fraction engine alone, no mod-p pass."""
+    """Kernel vectors from the private Fraction engine alone, no mod-p pass,
+    read densely."""
     rational = [{r: Fraction(a) for r, a in col.items()} for col in columns]
     vectors = linalg._kernel_engine(rational, QQ)
-    return [clear_denominators(v) if ring == ZZ else v for v in vectors]
+    return [dense(clear_denominators(v) if ring == ZZ else v, len(columns), ring.zero)
+            for v in vectors]
 
 
 small = st.integers(-3, 7)
@@ -268,7 +295,7 @@ def rational_columns(draw):
 @given(rational_columns())
 def test_kernel_vectors_equal_exact_engine(case):
     ring, columns = case
-    vectors = list(kernel_vectors(columns, ring))
+    vectors = [dense(v, len(columns), ring.zero) for v in kernel_vectors(columns, ring)]
     assert vectors == exact_vectors(columns, ring)
     kind = int if ring == ZZ else Fraction
     assert all(type(x) is kind for v in vectors for x in v)
@@ -334,7 +361,7 @@ def test_fallback_skips_the_vectors_already_lifted(engine_rings, ring):
                       [a - b for a, b in zip(c2, c0)]]
     elem = int if ring == ZZ else Fraction
     columns = [{r: elem(a) for r, a in enumerate(col) if a} for col in matrix_columns]
-    vectors = list(kernel_vectors(columns, ring))
+    vectors = [dense(v, len(columns), ring.zero) for v in kernel_vectors(columns, ring)]
     assert vectors == exact_vectors(columns, ring)
     assert [max(c for c, x in enumerate(v) if x) for v in vectors] == [3, 4, 5]
     assert engine_rings[-1] == QQ
@@ -418,8 +445,8 @@ def field_columns(draw):
 def test_kernel_vectors_over_fq_equal_the_polynomial_engine(case):
     F, columns = case
     assert isinstance(F.index_field(), coeff.TableField if F.k > 1 else PrimeField)
-    vectors = list(kernel_vectors(columns, F))
-    assert vectors == list(linalg._kernel_engine(columns, F))
+    vectors = [dense(v, len(columns), F.zero) for v in kernel_vectors(columns, F)]
+    assert vectors == [dense(v, len(columns), F.zero) for v in linalg._kernel_engine(columns, F)]
     assert all(type(x) is tuple and len(x) == F.k for v in vectors for x in v)
 
 
@@ -431,7 +458,7 @@ def test_field_above_the_cap_skips_the_tables(monkeypatch):
     one, x = big.one, big.from_index(big.p)
     # column 1 is x times column 0
     columns = [{0: one, 1: x}, {0: x, 1: big.mul(x, x)}, {1: big.add(one, x)}]
-    assert list(kernel_vectors(columns, big)) == [[x, one, big.zero]]
+    assert [dense(v, 3, big.zero) for v in kernel_vectors(columns, big)] == [[x, one, big.zero]]
     assert built == []
     small = ff_extend(2, 3)
     assert kernel_basis([[small.one, small.one]], small) == [[small.one, small.one]]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradedsrc import linalg
+from gradedsrc import linalg, srcsolve
 from gradedsrc.coeff import QQ, ZZ, PrimeField, ff_extend
 from gradedsrc.cli import main
 from gradedsrc.errors import FolnerNotFound
@@ -36,6 +36,8 @@ from gradedsrc.srcsolve import (
     truncated_kernel,
     verify_solution,
 )
+
+from dense_reference import dense
 
 Z = FreeAbelian(1)
 
@@ -99,7 +101,7 @@ def test_lift_kernel_dimension_and_membership(qz):
 def test_assemble_examples(qz):
     sys = one_pm_t_system(qz)
     F = sorted_subset(Z, [(0,), (1,), (2,)])
-    kv = [Fraction(c) for c in (1, -1, -1, -1, 0, 0)]
+    kv = {c: Fraction(x) for c, x in enumerate((1, -1, -1, -1, 0, 0)) if x}
     xs = assemble_solution(qz, 2, [(j, f) for f in F for j in range(2)], kv)
     x1, x2 = xs
     assert x1 == qz.one() - qz.delta((1,))
@@ -306,6 +308,7 @@ def reference_intconst_truncated_kernel(poly_ring, a, max_degree, radius):
     basis = list(kernel_vectors(columns, ZZ))
     out = []
     for v in basis:
+        v = dense(v, len(cols), 0)
         polys = []
         for j in range(n):
             coeffs = [base.zero()] * (max_degree + 1)
@@ -389,7 +392,7 @@ def test_all_lifted_kernel_vectors_assemble_to_solutions(qz2, rng):
         S = sys.union_support()
         F, _ = folner_search(qz2.group, S, Fraction(3, 1), 12)
         lifted = lift_on(sys, F)
-        for kv in kernel_basis(lifted.matrix, QQ, ncols=len(lifted.col_index)):
+        for kv in kernel_vectors(lifted.columns, lifted.base_ring):
             xs = assemble_solution(qz2, sys.n, lifted.col_index, kv)
             assert verify_solution(sys, xs)
 
@@ -441,6 +444,35 @@ def test_solve_maps_only_the_columns_it_reaches(monkeypatch):
     assert held == [360] and mapped == [2]
 
 
+def test_solve_lifts_and_assembles_only_the_nonzeros(monkeypatch):
+    # the system above: its kernel vector has one nonzero of 360 columns, at
+    # (x_2, e), and reconstruction, clearing and assembly read that entry alone
+    obj = {"group": {"family": "symmetric", "n": 5}, "coeff": {"ring": "Q"}, "m": 1, "n": 3,
+           "a": [[[[[4, 2, 3, 5, 1], "1/1"], [[5, 1, 2, 4, 3], "-1/1"]], [],
+                  [[[4, 2, 1, 5, 3], "2/1"]]]]}
+    reconstructed, cleared, assembled = [0], [], []
+    reconstruct, clear, assemble = (linalg._reconstruct, linalg.clear_denominators,
+                                    srcsolve.assemble_solution)
+
+    def reconstruct_spy(u):
+        reconstructed[0] += 1
+        return reconstruct(u)
+
+    def clear_spy(vec):
+        cleared.append(len(vec))
+        return clear(vec)
+
+    def assemble_spy(ring, n, col_index, v):
+        assembled.append(len(v))
+        return assemble(ring, n, col_index, v)
+
+    monkeypatch.setattr(linalg, "_reconstruct", reconstruct_spy)
+    monkeypatch.setattr(linalg, "clear_denominators", clear_spy)
+    monkeypatch.setattr(srcsolve, "assemble_solution", assemble_spy)
+    assert solve_src(system_from_json(obj), budget=1).verified
+    assert reconstructed == [1] and cleared == [1] and assembled == [1]
+
+
 # --- one lift and one assembly for solving and truncated kernels -------------
 
 
@@ -485,6 +517,7 @@ def reference_solve_src(sys, budget):
     F, SF = folner_search(sys.ring.group, S, Fraction(sys.n, sys.m), budget)
     lifted = reference_lift_system(sys, F, SF)
     kv = next(kernel_vectors(lifted.columns, lifted.base_ring))
+    kv = dense(kv, len(lifted.columns), lifted.base_ring.zero)
     return reference_assemble_solution(sys, kv, F).xs
 
 
@@ -504,6 +537,7 @@ def reference_truncated_kernel(a, radius):
     ]
     basis = list(kernel_vectors(columns, ring.coeff))
     zero, size = ring.coeff.zero, len(D)
+    basis = [dense(v, len(columns), zero) for v in basis]
     out = [
         tuple(
             GRElement(ring, {g: c for g, c in zip(D, v[j * size : (j + 1) * size]) if c != zero})
