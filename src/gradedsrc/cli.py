@@ -61,9 +61,13 @@ def emit(obj: dict, out_path: str | None) -> None:
         return
     d = os.path.dirname(os.path.abspath(out_path))
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-    with os.fdopen(fd, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, out_path)
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, out_path)
+    except BaseException:  # e.g. --out names a directory: leave no temp file behind
+        os.unlink(tmp)
+        raise
 
 
 def load_json(path: str) -> dict:

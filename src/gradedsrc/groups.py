@@ -330,9 +330,11 @@ class FiniteGroup(_Group):
 
 class SymmetricGroup(FiniteGroup):
     """S_n on {0..n-1}, its elements in sorted order, keyed by ``(n,)``.  The
-    product is composition, right factor first, so no table is built or
-    checked.  In JSON the group is ``{"family": "symmetric", "n": n}`` and a
-    permutation is its 1-based one-line list."""
+    product is composition, right factor first, formed in C as
+    ``itemgetter(*h)(g)``, so no table is built or checked.  For n <= 1 the
+    group is trivial and g h is g: itemgetter of one index or none would not
+    return a tuple.  In JSON the group is ``{"family": "symmetric", "n": n}``
+    and a permutation is its 1-based one-line list."""
 
     def __init__(self, n: int):
         self.n, self.key = n, (n,)
@@ -344,7 +346,7 @@ class SymmetricGroup(FiniteGroup):
         self._generators = ((1, 0, *range(2, n)), (*range(1, n), 0))[: max(0, min(2, n - 1))]
 
     def mul(self, g, h):
-        return tuple(map(g.__getitem__, h))
+        return itemgetter(*h)(g) if self.n > 1 else g
 
     def inv(self, g):
         return tuple(sorted(range(len(g)), key=g.__getitem__))

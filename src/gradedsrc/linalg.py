@@ -12,7 +12,8 @@ cleared to primitive vectors.  F_q kernels run on element indices, with
 the field's log/Zech tables, below the size cap of ``ExtField.index_field``.
 Each front hands the engine an entry map, which it applies to a column when
 it reaches that column, so a caller that takes only the first kernel vector
-converts only the columns up to it.
+converts only the columns up to it; over Q and Z that map also meets any
+denominator the prime divides when the engine reaches it.
 """
 
 from __future__ import annotations
@@ -104,11 +105,12 @@ def kernel_vectors(columns, ring):
 
     Over Q and Z the engine runs mod p = ``MODULUS`` first, reading a/b as
     a * b^-1 mod p; a denominator divisible by p sends the system to exact
-    elimination at once.  Columns independent mod p are independent over Q,
-    so each lifted vector that passes the exact check is the one exact
-    elimination yields, and exact elimination takes over at the first
-    failure.  Over Z each vector is cleared to a primitive integer vector
-    with positive leading entry.
+    elimination when the engine reaches it, so only the entries mapped are
+    tested.  Columns independent mod p are independent over Q, so each lifted
+    vector that passes the exact check is the one exact elimination yields,
+    and exact elimination takes over at the first failure, skipping the
+    vectors already yielded.  Over Z each vector is cleared to a primitive
+    integer vector with positive leading entry.
 
     Over an ``ExtField`` of order up to the cap the engine runs on the
     element indices of ``from_index``, through ``index_field()``: its
@@ -126,21 +128,19 @@ def kernel_vectors(columns, ring):
         yield from _kernel_engine(columns, ring)
         return
     done = 0
-    # a denominator divisible by p has no inverse mod p: exact elimination at once
-    if all(d % MODULUS for d in {a.denominator for col in columns for a in col.values()}):
-        try:
-            for u in _kernel_engine(columns, _MODULAR, _mod_p):
-                yield _lift(u, columns, ring)
-                done += 1
-            return
-        except ValueError:  # a vector did not lift
-            pass
+    try:
+        for u in _kernel_engine(columns, _MODULAR, _mod_p):
+            yield _lift(u, columns, ring)
+            done += 1
+        return
+    except ValueError:  # a denominator divisible by p, or a vector that did not lift
+        pass
     for v in islice(_kernel_engine(columns, QQ, Fraction), done, None):
         yield clear_denominators(v) if isinstance(ring, Integers) else v
 
 
 def _mod_p(a):
-    """a/b as a * b^-1 mod p."""
+    """a/b as a * b^-1 mod p; ValueError when p divides b."""
     num, den = a.numerator, a.denominator
     return (num if den == 1 else num * pow(den, -1, MODULUS)) % MODULUS
 

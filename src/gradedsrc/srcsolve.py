@@ -74,17 +74,26 @@ class SolutionVector:
 def lift_system(a, col_index: list, SF=()) -> LiftedSystem:
     """Entry at row (g, i), column (j, f) is the coefficient of g f^-1 in a_ij,
     so column (j, f) holds each term c*h of a_ij at row (h f, i).  Rows follow
-    ``SF`` when the caller gives it, else the order the products are met."""
+    ``SF`` when the caller gives it, else the order the products are met.
+    One pass: each unknown's terms (i, h, c) are taken once, h by its position
+    in the support S; each f's products h f are formed once, into its list of
+    first rows; each column is filled from its f's list."""
     ring, m = a[0][0].ring, len(a)
-    G = ring.group
+    mul = ring.group.mul
     S = dict.fromkeys(h for row in a for x in row for h in x.terms)
+    pos = {h: k for k, h in enumerate(S)}
+    terms = [[(i, pos[h], c) for i, row in enumerate(a) for h, c in row[j].terms.items()]
+             for j in range(len(a[0]))]
     first_row = {g: r * m for r, g in enumerate(SF)}  # of (g, 0); (g, i) is i rows on
-    at = {}
-    for _, f in col_index:
-        if f not in at:  # each product h f formed once
-            at[f] = {h: first_row.setdefault(G.mul(h, f), len(first_row) * m) for h in S}
-    columns = [{at[f][h] + i: c for i in range(m) for h, c in a[i][j].terms.items()}
-               for j, f in col_index]
+    at = {}  # f -> [first row of h f for h in S]
+    columns = []
+    for j, f in col_index:
+        rows = at.get(f)
+        if rows is None:
+            rows = at[f] = []
+            for h in S:
+                rows.append(first_row.setdefault(mul(h, f), len(first_row) * m))
+        columns.append({rows[k] + i: c for i, k, c in terms[j]})
     row_index = [(g, i) for g in first_row for i in range(m)]
     return LiftedSystem(columns, row_index, col_index, ring.coeff)
 

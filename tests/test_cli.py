@@ -780,6 +780,16 @@ def test_folner_malformed_ratio_or_budget_is_bad_input(tmp_path, capsys, key, va
     assert not out.exists()
 
 
+def test_out_into_a_directory_is_bad_input_and_leaves_no_temp_file(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["embed-cert", "--radius", "1", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("bad input:") and captured.err.count("\n") == 1
+    assert list(tmp_path.glob("*.tmp")) == [] and list(out.iterdir()) == []
+
+
 def test_solve_negative_budget_is_bad_input(tmp_path, capsys):
     infile = write(tmp_path, "fn.json", footnote_json())
     assert main(["solve", "--in", infile, "--budget", "-1"]) == 1

@@ -370,7 +370,30 @@ def test_fallback_skips_the_vectors_already_lifted(engine_rings, ring):
 def test_denominator_divisible_by_p_falls_back(engine_rings):
     matrix = [[Fraction(1, P), Fraction(1)]]
     assert kernel_basis(matrix, QQ) == [[Fraction(-P), Fraction(1)]]
-    assert engine_rings == [QQ]
+    assert engine_rings == [linalg._MODULAR, QQ]
+
+
+def test_mod_p_pass_stops_at_the_column_whose_denominator_p_divides():
+    # the mod-p pass raises when it reaches 1/p; read as 0, column 0 would be free
+    columns = [{0: Fraction(1, P)}, {1: Fraction(1)}]
+    with pytest.raises(ValueError):
+        next(linalg._kernel_engine(columns, linalg._MODULAR, linalg._mod_p))
+
+
+def test_denominator_divisible_by_p_after_the_first_free_column(engine_rings):
+    # column 1 is free; 1/p sits only in column 3, which the first vector
+    # does not reach, so that vector comes from the mod-p pass
+    columns = [{0: Fraction(1), 1: Fraction(2)}, {0: Fraction(3), 1: Fraction(6)},
+               {1: Fraction(1, 2)}, {0: Fraction(1, P), 1: Fraction(5)}]
+    first = next(kernel_vectors(columns, QQ))
+    assert engine_rings == [linalg._MODULAR]
+    assert first == {0: Fraction(-3), 1: Fraction(1)}
+    exact = exact_vectors(columns, QQ)
+    assert dense(first, len(columns), QQ.zero) == exact[0]
+    engine_rings.clear()
+    # the whole basis reaches column 3 and ends in exact elimination
+    assert [dense(v, len(columns), QQ.zero) for v in kernel_vectors(columns, QQ)] == exact
+    assert engine_rings == [linalg._MODULAR, QQ]
 
 
 # --- F_q kernels on log/Zech tables ------------------------------------------

@@ -38,6 +38,7 @@ from gradedsrc.srcsolve import (
 )
 
 from dense_reference import dense
+from dense_reference import lift_system as comprehension_lift
 
 Z = FreeAbelian(1)
 
@@ -96,6 +97,48 @@ def test_lift_kernel_dimension_and_membership(qz):
     stacked = [list(v) for v in basis] + [target]
     assert rank(stacked, QQ) == 2  # the target lies in the kernel span
     assert all(sum(a * x for a, x in zip(row, target)) == 0 for row in lifted.matrix)
+
+
+LIFT_GROUPS = {
+    "Z2": FreeAbelian(2),
+    "S3": FiniteGroup.symmetric(3),
+    "S4": FiniteGroup.symmetric(4),
+    "F2": FreeGroup(2),
+}
+
+
+@st.composite
+def lift_cases(draw):
+    """An m x n grid over Q of Z^2, S_3, S_4 or F_2 elements from ball(1),
+    some entries zero; a subset F of ball(2); its columns F-major or j-major;
+    and SF, or none, so that rows follow the products as they are met."""
+    G = LIFT_GROUPS[draw(st.sampled_from(sorted(LIFT_GROUPS)))]
+    R = GroupRing(G, QQ)
+    support = list(ball(G, 1))
+    term = st.tuples(st.sampled_from(support), st.integers(-2, 3).map(Fraction))
+    entry = st.one_of(st.just(R.zero()), st.lists(term, max_size=3).map(R.from_terms))
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    a = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+    F = sorted_subset(G, draw(st.lists(st.sampled_from(ball(G, 2)), min_size=1, max_size=8)))
+    if draw(st.booleans()):
+        col_index = [(j, f) for f in F for j in range(n)]
+    else:
+        col_index = [(j, f) for j in range(n) for f in F]
+    S = sorted_subset(G, (h for row in a for x in row for h in x.terms))
+    SF = product_set(G, S, F) if draw(st.booleans()) else ()
+    return a, col_index, SF
+
+
+@given(lift_cases())
+@settings(max_examples=150, deadline=None)
+def test_lift_equals_the_comprehension_lift(case):
+    a, col_index, SF = case
+    lifted = lift_system(a, col_index, SF)
+    columns, row_index = comprehension_lift(a, col_index, SF)
+    # key order too: the kernel engine breaks ties between pivot rows by it
+    assert [list(col.items()) for col in lifted.columns] == [list(col.items()) for col in columns]
+    assert lifted.row_index == row_index
+    assert lifted.col_index == col_index
 
 
 def test_assemble_examples(qz):
